@@ -13,6 +13,7 @@
      table2b  top-k addition sweep     (Table 2(b) data semantics)
      figure10 delay vs k series for i1 and i10, both analyses
      parallel sequential vs parallel engine sweep (speedup + determinism)
+     rerank   exact re-ranking: scratch vs recorded-trajectory reruns
      serve    daemon load test: concurrent clients against tka serve
      kernels  bechamel microbenchmarks of the core computational kernels
 
@@ -126,7 +127,7 @@ let parse_args () =
     o.sections <-
       [
         "stats"; "table1"; "table2a"; "table2b"; "figure10"; "ablation";
-        "filter"; "parallel"; "eco"; "repair"; "serve"; "kernels";
+        "filter"; "parallel"; "eco"; "repair"; "rerank"; "serve"; "kernels";
       ];
   o
 
@@ -796,6 +797,86 @@ let run_repair o =
   json_add "repair" (Repair.report_json report)
 
 (* ------------------------------------------------------------------ *)
+(* rerank: exact incremental re-ranking                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every set the k = 1..5 re-ranking pools of both modes score on the
+   first circuit of the run, evaluated once by the scratch fixpoint
+   (Addition/Elimination.evaluate_set) and once by a rerun of the
+   recorded reference trajectory (evaluate_set_incr, reference build
+   included in the timing). The two must agree bit for bit (hard
+   failure otherwise); the `rerank` section of BENCH_topk.json records
+   both times and the mean recomputed cone per evaluation. *)
+let run_rerank o =
+  let module Metrics = Tka_obs.Metrics in
+  let name = List.hd o.circuits in
+  let k = 5 in
+  section
+    (Printf.sprintf "Exact incremental re-ranking: %s, k=1..%d pools, both modes"
+       name k);
+  let _, topo = circuit name in
+  let add = Addition.compute ~k topo in
+  let elim = Elimination.compute ~k topo in
+  let pools pool = List.concat_map pool (List.init k (fun i -> i + 1)) in
+  let add_sets = pools (Addition.pool add) in
+  let elim_sets = pools (Elimination.pool elim) in
+  let evaluations = List.length add_sets + List.length elim_sets in
+  let timed f =
+    let t0 = wall () in
+    let r = f () in
+    (r, wall () -. t0)
+  in
+  let scratch, t_scratch =
+    timed (fun () ->
+        List.map (Addition.evaluate_set topo) add_sets
+        @ List.map (Elimination.evaluate_set topo) elim_sets)
+  in
+  let counter name =
+    Option.fold ~none:0 ~some:Metrics.Counter.value (Metrics.find_counter name)
+  in
+  let retimed0 = counter "iterate.retimed_nets"
+  and rescored0 = counter "iterate.rescored_victims" in
+  let incr, t_incr =
+    Metrics.with_enabled true (fun () ->
+        timed (fun () ->
+            List.map (Addition.evaluate_set_incr add) add_sets
+            @ List.map (Elimination.evaluate_set_incr elim) elim_sets))
+  in
+  let per_eval c0 c =
+    float_of_int (counter c - c0) /. float_of_int (max 1 evaluations)
+  in
+  let retimed = per_eval retimed0 "iterate.retimed_nets" in
+  let rescored = per_eval rescored0 "iterate.rescored_victims" in
+  let identical =
+    List.for_all2
+      (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+      scratch incr
+  in
+  let speedup = t_scratch /. Float.max t_incr 1e-12 in
+  Printf.printf "  evaluations: %d (%d addition, %d elimination)\n" evaluations
+    (List.length add_sets) (List.length elim_sets);
+  Printf.printf "  scratch %.2f s, incremental %.2f s (%.1fx)\n" t_scratch t_incr
+    speedup;
+  Printf.printf
+    "  per evaluation: %.1f nets retimed, %.1f victims rescored (of %d nets)\n"
+    retimed rescored (N.num_nets (Topo.netlist topo));
+  Printf.printf "  delays identical to scratch: %s\n%!"
+    (if identical then "yes" else "NO (incremental correctness violation!)");
+  json_add "rerank"
+    (J.Obj
+       [
+         ("circuit", J.Str name);
+         ("evaluations", J.Int evaluations);
+         ("t_scratch_s", J.Float t_scratch);
+         ("t_incr_s", J.Float t_incr);
+         ("speedup", J.Float speedup);
+         ("retimed_nets_per_eval", J.Float retimed);
+         ("rescored_victims_per_eval", J.Float rescored);
+         ("identical", J.Bool identical);
+       ]);
+  if not identical then exit 1
+
+(* ------------------------------------------------------------------ *)
 (* serve: daemon load test                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -980,46 +1061,8 @@ let run_kernel_rewrite o =
   let sink = ref 0. in
   let keep w = sink := !sink +. Pwl.last_x w in
   let keepb b = if b then sink := !sink +. 1. in
-  (* Envelope memoisation (Envelope_builder.of_directed_memo): the
-     exact re-ranking loops re-evaluate nearby coupling sets, which
-     rebuild mostly identical aggressor envelopes pass after pass; a
-     memo shared across runs turns those into table hits. Old = fresh
-     envelopes on every fixpoint run, new = one memo shared across all
-     runs of the block. Results are bitwise-identical by construction
-     and asserted so here. *)
-  let memo_nl = B.generate { validation_spec with B.sp_name = "kmemo" } in
-  let memo_topo = Topo.create memo_nl in
-  let memo_sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
-  let memo = Tka_noise.Envelope_builder.create_memo () in
-  List.iter
-    (fun s ->
-      let delay em =
-        Iterate.circuit_delay
-          (Iterate.run ~active:(CS.contains_fn s) ?env_memo:em memo_topo)
-      in
-      if not (Float.equal (delay None) (delay (Some memo))) then
-        failwith "envelope_memo kernel: memoised delay differs from fresh")
-    memo_sets;
   let kernels =
     [
-      ( "envelope_memo",
-        (fun () ->
-          List.iter
-            (fun s ->
-              sink :=
-                !sink
-                +. Iterate.circuit_delay
-                     (Iterate.run ~active:(CS.contains_fn s) memo_topo))
-            memo_sets),
-        fun () ->
-          List.iter
-            (fun s ->
-              sink :=
-                !sink
-                +. Iterate.circuit_delay
-                     (Iterate.run ~active:(CS.contains_fn s) ~env_memo:memo
-                        memo_topo))
-            memo_sets );
       ( "dominates",
         (fun () ->
           for i = 0 to ne - 1 do
@@ -1275,6 +1318,7 @@ let () =
           | "parallel" -> run_parallel o
           | "eco" -> run_eco o
           | "repair" -> run_repair o
+          | "rerank" -> run_rerank o
           | "serve" -> run_serve o
           | "kernels" ->
             run_kernel_rewrite o;

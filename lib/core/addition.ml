@@ -1,17 +1,14 @@
 module Iterate = Tka_noise.Iterate
-module EB = Tka_noise.Envelope_builder
 
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  memo : EB.memo;
-      (* shared by every exact re-evaluation below: the recombination
-         pool re-runs the iterative analysis over near-identical
-         active sets, so most aggressor windows — and hence their
-         envelopes — recur verbatim. Purity keeps scores bitwise
-         identical to unmemoised evaluation. Confined to the
-         (sequential) re-ranking loops — [t] must not be re-ranked
-         from several threads at once. *)
+  reference : Iterate.trajectory Lazy.t;
+      (* the noiseless run every exact re-evaluation below replays: an
+         addition set differs from it by its own k couplings only.
+         Forced by the first score, so callers that never re-rank never
+         pay for it. Reruns mutate it — [t] must not be re-ranked from
+         several threads at once. *)
 }
 
 let compute ?(capacity = Ilist.default_capacity) ?(use_pseudo = true)
@@ -21,7 +18,7 @@ let compute ?(capacity = Ilist.default_capacity) ?(use_pseudo = true)
   {
     result = Engine.compute ~config ?fixpoint ~mode:Engine.Addition topo;
     topo;
-    memo = EB.create_memo ();
+    reference = lazy (Iterate.trajectory ~active:(fun _ -> false) topo);
   }
 
 let candidates t i =
@@ -33,10 +30,19 @@ let estimated_delay t i = Engine.estimated_delay t.result i
 let evaluate_set topo s =
   Iterate.circuit_delay (Iterate.run ~active:(Coupling_set.contains_fn s) topo)
 
-(* internal scoring path: [evaluate_set] through the shared memo *)
-let evaluate_set_memo t s =
+let evaluate_set_incr t s =
   Iterate.circuit_delay
-    (Iterate.run ~active:(Coupling_set.contains_fn s) ~env_memo:t.memo t.topo)
+    (Iterate.rerun (Lazy.force t.reference) ~flip:(Coupling_set.to_list s))
+
+(* the first strongest of [sets] by exact score *)
+let best_of t sets =
+  List.fold_left
+    (fun best s ->
+      let d = evaluate_set_incr t s in
+      match best with
+      | Some (_, bd) when not (d > bd) -> best
+      | _ -> Some (s, d))
+    None sets
 
 (* Recombination pool: every directed coupling named by a retained
    candidate. Cardinality 1 first — the static ranking is exact for
@@ -51,7 +57,7 @@ let ranked_members t i =
    whole sink I-list. Rank the retained candidates by the exact
    iterative analysis — together with a bounded recombination of their
    members (see {!Refine}) — and keep the strongest. *)
-let best_choice t i =
+let pool t i =
   let universe =
     2 * Tka_circuit.Netlist.num_couplings (Tka_circuit.Topo.netlist t.topo)
   in
@@ -60,28 +66,9 @@ let best_choice t i =
     if cands = [] then []
     else Refine.subsets ~universe ~k:i ~members:(ranked_members t i) ()
   in
-  let seen = Hashtbl.create 16 in
-  let distinct =
-    List.filter
-      (fun s ->
-        let key = Coupling_set.to_list s in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      (cands @ recombined)
-  in
-  match distinct with
-  | [] -> None
-  | first :: rest ->
-    let score s = (s, evaluate_set_memo t s) in
-    Some
-      (List.fold_left
-         (fun (bs, bd) c ->
-           let s, d = score c in
-           if d > bd then (s, d) else (bs, bd))
-         (score first) rest)
+  Coupling_set.dedup (cands @ recombined)
+
+let best_choice t i = best_of t (pool t i)
 
 let set t i = Option.map fst (best_choice t i)
 
@@ -108,17 +95,9 @@ let evaluate_curve t ~ks =
           | Some (s, _) -> Option.to_list (Coupling_set.pad ~universe ~target:k s)
           | None -> [])
       in
-      match cands with
-      | [] -> None
-      | first :: rest ->
-        let score s = (s, evaluate_set_memo t s) in
-        let s, d =
-          List.fold_left
-            (fun (bs, bd) c ->
-              let s, d = score c in
-              if d > bd then (s, d) else (bs, bd))
-            (score first) rest
-        in
+      match best_of t cands with
+      | None -> None
+      | Some (s, d) ->
         best := Some (s, d);
         Some (k, s, d))
     ks

@@ -10,13 +10,10 @@
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  memo : Tka_noise.Envelope_builder.memo;
-      (** shared envelope cache for the exact re-ranking below: the
-          recombination pool evaluates many near-identical coupling
-          sets, whose aggressor windows — and hence envelopes — recur
-          verbatim. Purity keeps memoised scores bitwise identical to
-          unmemoised ones. Not thread-safe: re-rank a given [t] from
-          one thread at a time. *)
+  reference : Tka_noise.Iterate.trajectory Lazy.t;
+      (** the noiseless run the exact re-ranking replays
+          ({!Tka_noise.Iterate.rerun}); built on the first score. Not
+          thread-safe: re-rank a given [t] from one thread at a time. *)
 }
 
 val compute :
@@ -40,8 +37,14 @@ val candidates : t -> int -> Coupling_set.t list
 (** The engine's retained sink candidates for cardinality i, best first
     by the first-order score. *)
 
+val pool : t -> int -> Coupling_set.t list
+(** Every set {!best_choice} scores for cardinality i: {!candidates}
+    followed by the bounded recombination of their members
+    ({!Refine.subsets}), deduplicated. *)
+
 val best_choice : t -> int -> (Coupling_set.t * float) option
-(** The exact-evaluation winner among {!candidates}, with its delay. *)
+(** The exact-evaluation winner of {!pool} (first best on ties), with
+    its delay. *)
 
 val estimated_delay : t -> int -> float
 (** Engine estimate: noiseless delay + predicted noise of the set. *)
@@ -52,7 +55,11 @@ val evaluate : t -> int -> float
     delay when no set of that cardinality exists. *)
 
 val evaluate_set : Tka_circuit.Topo.t -> Coupling_set.t -> float
-(** Exact delay for an arbitrary addition set. *)
+(** Exact delay for an arbitrary addition set (scratch fixpoint). *)
+
+val evaluate_set_incr : t -> Coupling_set.t -> float
+(** {!evaluate_set} by a rerun of [t]'s reference, bitwise equal to it:
+    how {!best_choice} and {!evaluate_curve} score. *)
 
 val evaluate_curve :
   t -> ks:int list -> (int * Coupling_set.t * float) list

@@ -173,6 +173,15 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
+let dedup sets =
+  let seen = Tbl.create 16 in
+  List.filter
+    (fun s ->
+      let fresh = not (Tbl.mem seen s) in
+      if fresh then Tbl.replace seen s ();
+      fresh)
+    sets
+
 let fold f t acc = Array.fold_left (fun acc c -> f c acc) acc t
 let iter = Array.iter
 let exists = Array.exists

@@ -3,9 +3,9 @@ module Iterate = Tka_noise.Iterate
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  memo : Tka_noise.Envelope_builder.memo;
-      (* envelope reuse across the exact re-evaluations of the
-         recombination pool — see [Addition.t]; sequential use only *)
+  reference : Iterate.trajectory Lazy.t;
+      (* the all-aggressor run every exact re-evaluation replays — see
+         [Addition.t]; forced on first score, sequential use only *)
   dual : Engine.result;
       (* addition-mode enumeration over the same circuit: the paper's
          dual problem. The strongest noise *contributors* are also prime
@@ -31,7 +31,7 @@ let compute ?(capacity = Ilist.default_capacity) ?(use_pseudo = true)
         ?victim_cache:(vc Engine.Elimination)
         ~mode:Engine.Elimination topo;
     topo;
-    memo = Tka_noise.Envelope_builder.create_memo ();
+    reference = lazy (Iterate.trajectory topo);
     dual =
       Engine.compute ~config ~fixpoint
         ?victim_cache:(vc Engine.Addition)
@@ -52,29 +52,27 @@ let dual_set t i = set_of_result t.dual i
 (* candidates for exact re-ranking: the elimination engine's retained
    sink entries plus the dual (addition) engine's best pick *)
 let candidates t i =
-  let dedup sets =
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun s ->
-        let key = Coupling_set.to_list s in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      sets
-  in
-  dedup (top_of_result t.result i @ Option.to_list (set_of_result t.dual i))
+  Coupling_set.dedup
+    (top_of_result t.result i @ Option.to_list (set_of_result t.dual i))
 
 let estimated_delay t i = Engine.estimated_delay t.result i
 
 let evaluate_set topo s =
   Iterate.circuit_delay (Iterate.run ~active:(Coupling_set.excludes_fn s) topo)
 
-(* internal scoring path: [evaluate_set] through the shared memo *)
-let evaluate_set_memo t s =
+let evaluate_set_incr t s =
   Iterate.circuit_delay
-    (Iterate.run ~active:(Coupling_set.excludes_fn s) ~env_memo:t.memo t.topo)
+    (Iterate.rerun (Lazy.force t.reference) ~flip:(Coupling_set.to_list s))
+
+(* the first strongest of [sets] by exact score *)
+let best_of t sets =
+  List.fold_left
+    (fun best s ->
+      let d = evaluate_set_incr t s in
+      match best with
+      | Some (_, bd) when not (d < bd) -> best
+      | _ -> Some (s, d))
+    None sets
 
 (* Recombination pool: members of the retained elimination candidates
    and of the dual engine's sink lists. Cardinality 1 first — the
@@ -90,7 +88,7 @@ let ranked_members t i =
 
 (* exact re-ranking over the retained candidates, the dual pick, and a
    bounded recombination of their members (see {!Refine}) *)
-let best_choice t i =
+let pool t i =
   let universe =
     2 * Tka_circuit.Netlist.num_couplings (Tka_circuit.Topo.netlist t.topo)
   in
@@ -99,28 +97,9 @@ let best_choice t i =
     if cands = [] then []
     else Refine.subsets ~universe ~k:i ~members:(ranked_members t i) ()
   in
-  let seen = Hashtbl.create 16 in
-  let distinct =
-    List.filter
-      (fun s ->
-        let key = Coupling_set.to_list s in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      (cands @ recombined)
-  in
-  match distinct with
-  | [] -> None
-  | first :: rest ->
-    let score s = (s, evaluate_set_memo t s) in
-    Some
-      (List.fold_left
-         (fun (bs, bd) c ->
-           let s, d = score c in
-           if d < bd then (s, d) else (bs, bd))
-         (score first) rest)
+  Coupling_set.dedup (cands @ recombined)
+
+let best_choice t i = best_of t (pool t i)
 
 let evaluate t i =
   match best_choice t i with
@@ -145,17 +124,9 @@ let evaluate_curve t ~ks =
           | Some (s, _) -> Option.to_list (Coupling_set.pad ~universe ~target:k s)
           | None -> [])
       in
-      match cands with
-      | [] -> None
-      | first :: rest ->
-        let score s = (s, evaluate_set_memo t s) in
-        let s, d =
-          List.fold_left
-            (fun (bs, bd) c ->
-              let s, d = score c in
-              if d < bd then (s, d) else (bs, bd))
-            (score first) rest
-        in
+      match best_of t cands with
+      | None -> None
+      | Some (s, d) ->
         best := Some (s, d);
         Some (k, s, d))
     ks

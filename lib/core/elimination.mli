@@ -10,9 +10,9 @@
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  memo : Tka_noise.Envelope_builder.memo;
-      (** shared envelope cache for the exact re-ranking — see
-          {!Addition.t}; sequential use only *)
+  reference : Tka_noise.Iterate.trajectory Lazy.t;
+      (** the all-aggressor run the exact re-ranking replays; see
+          {!Addition.t}. Sequential use only. *)
   dual : Engine.result;
       (** the addition-mode enumeration of the same circuit — the
           paper's dual problem. Strong noise contributors are prime
@@ -51,9 +51,15 @@ val candidates : t -> int -> Coupling_set.t list
 val estimated_delay : t -> int -> float
 (** Engine estimate: noisy delay − predicted benefit. *)
 
+val pool : t -> int -> Coupling_set.t list
+(** Every set {!best_choice} scores for cardinality i: {!candidates}
+    followed by the bounded recombination of the members of both
+    engines' retained sets ({!Refine.subsets}), deduplicated. *)
+
 val best_choice : t -> int -> (Coupling_set.t * float) option
-(** The better of {!set} and {!dual_set} for cardinality i, with its
-    exact evaluated delay. *)
+(** The exact-evaluation winner of {!pool} (first best on ties) — the
+    elimination pick, the dual pick or a recombination — with its
+    delay. *)
 
 val evaluate : t -> int -> float
 (** Exact circuit delay with the better of {!set} and {!dual_set}
@@ -61,6 +67,10 @@ val evaluate : t -> int -> float
     to the all-aggressor delay when no set exists. *)
 
 val evaluate_set : Tka_circuit.Topo.t -> Coupling_set.t -> float
+(** Exact delay with an arbitrary set removed (scratch fixpoint). *)
+
+val evaluate_set_incr : t -> Coupling_set.t -> float
+(** As {!Addition.evaluate_set_incr}. *)
 
 val evaluate_curve :
   t -> ks:int list -> (int * Coupling_set.t * float) list

@@ -11,19 +11,21 @@ let set_lines nl s =
         (N.net nl d.CN.dc_victim).N.net_name c.N.coupling_cap)
     (Coupling_set.to_list s)
 
-let generic ~label ~noiseless ~noisy ~set ~estimated ~evaluate nl ks =
+(* The printed set is the one its evaluated delay belongs to: one
+   [best] call per k gives both (ranking a k scores a whole pool). *)
+let generic ~label ~noiseless ~noisy ~best ~estimated nl ks =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%s analysis of %s: noiseless %.4f ns, all-aggressor %.4f ns\n"
        label (N.name nl) noiseless noisy);
   List.iter
     (fun k ->
-      match set k with
+      match best k with
       | None -> Buffer.add_string buf (Printf.sprintf "top-%d: (no candidate)\n" k)
-      | Some s ->
+      | Some (s, d) ->
         Buffer.add_string buf
           (Printf.sprintf "top-%d: estimated %.4f ns, evaluated %.4f ns\n" k
-             (estimated k) (evaluate k));
+             (estimated k) d);
         List.iter
           (fun l -> Buffer.add_string buf (l ^ "\n"))
           (set_lines nl s))
@@ -32,29 +34,13 @@ let generic ~label ~noiseless ~noisy ~set ~estimated ~evaluate nl ks =
 
 let addition nl (t : Addition.t) ~ks =
   generic ~label:"Top-k addition" ~noiseless:(Addition.noiseless_delay t)
-    ~noisy:(Addition.all_aggressor_delay t) ~set:(Addition.set t)
-    ~estimated:(Addition.estimated_delay t) ~evaluate:(Addition.evaluate t) nl ks
+    ~noisy:(Addition.all_aggressor_delay t) ~best:(Addition.best_choice t)
+    ~estimated:(Addition.estimated_delay t) nl ks
 
 let elimination nl (t : Elimination.t) ~ks =
-  (* print the set that the evaluated delay actually belongs to *)
-  let memo = Hashtbl.create 8 in
-  let choice k =
-    match Hashtbl.find_opt memo k with
-    | Some c -> c
-    | None ->
-      let c = Elimination.best_choice t k in
-      Hashtbl.replace memo k c;
-      c
-  in
   generic ~label:"Top-k elimination" ~noiseless:(Elimination.noiseless_delay t)
-    ~noisy:(Elimination.all_aggressor_delay t)
-    ~set:(fun k -> Option.map fst (choice k))
-    ~estimated:(Elimination.estimated_delay t)
-    ~evaluate:(fun k ->
-      match choice k with
-      | Some (_, d) -> d
-      | None -> Elimination.all_aggressor_delay t)
-    nl ks
+    ~noisy:(Elimination.all_aggressor_delay t) ~best:(Elimination.best_choice t)
+    ~estimated:(Elimination.estimated_delay t) nl ks
 
 let csv ~estimated ~evaluate ks =
   let buf = Buffer.create 256 in

@@ -36,22 +36,46 @@ val run :
   ?active:(Coupled_noise.directed -> bool) ->
   ?max_iterations:int ->
   ?tolerance:float ->
-  ?env_memo:Envelope_builder.memo ->
   Tka_circuit.Topo.t ->
   t
 (** Defaults: [From_noiseless], all couplings active, at most 30
-    iterations, tolerance 1e-4 ns (0.1 ps). [env_memo] reuses
-    per-aggressor envelopes across passes and across runs that share
-    the memo — aggressor windows typically stop moving after the first
-    pass or two, so later passes (and re-evaluations of nearby coupling
-    sets, as in the exact re-ranking loops) hit instead of rebuilding;
-    results are bitwise-identical either way, but the memo is not
-    thread-safe and must stay confined to sequential use. Logs a
-    warning (source
+    iterations, tolerance 1e-4 ns (0.1 ps). Logs a warning (source
     [iterate]) if the iteration cap is hit before convergence; each run
     updates the [iterate.runs]/[iterate.passes] counters and the
     [iterate.last_residual_ns] gauge when {!Tka_obs.Metrics} is
     enabled. *)
+
+(** {1 Exact incremental reruns}
+
+    A top-k candidate set differs from a fixed reference run (the
+    all-aggressor run for elimination, the noiseless one for addition)
+    by its own k couplings only. {!rerun} replays the reference's
+    recorded passes and recomputes only the values whose inputs differ
+    bitwise from the reference at the same pass: a net's window when
+    its own noise or a fanin window moved, a victim's noise when its
+    window, own noise, aggressor list or an active aggressor's window
+    moved. The result is bitwise that of {!run}, pass count,
+    [converged] and final STA included (docs/performance.md, "Exact
+    incremental re-ranking"). *)
+
+type trajectory
+(** The reference [From_noiseless] run under one active predicate. Its
+    passes (with each pass's aggressor envelopes, at most one per
+    directed coupling) are recorded on demand, also past its own
+    convergence. Reruns mutate it: use it from one thread at a time. *)
+
+val trajectory :
+  ?active:(Coupled_noise.directed -> bool) -> Tka_circuit.Topo.t -> trajectory
+(** The reference under [active] (default: all couplings). *)
+
+val rerun : ?max_iterations:int -> trajectory -> flip:int list -> t
+(** [rerun tj ~flip] is, bit for bit, {!run} with the same iteration
+    cap and the default tolerance under the reference's predicate with
+    the directed couplings whose ids ({!Coupled_noise.directed_id}) are
+    in [flip] toggled; [flip] holds directed couplings of the circuit.
+    Updates the same metrics as {!run}, plus
+    the [iterate.retimed_nets] / [iterate.rescored_victims] counters of
+    recomputed values. *)
 
 val circuit_delay : t -> float
 (** Max noisy LAT over primary outputs. *)

@@ -22,15 +22,15 @@ let saturate ~victim noise =
 let delay_noise_of_envelope ~victim env =
   saturate ~victim (Envelope.delay_noise ~victim env)
 
-let delay_noise nl ~windows ?(own_noise = 0.) ?memo ~victim ds =
+let delay_noise nl ~windows ?(own_noise = 0.) ?envelope ~victim ds =
   match ds with
   | [] -> 0.
   | _ :: _ ->
     let v = victim_transition ~windows ~own_noise victim in
     let build =
-      match memo with
+      match envelope with
       | None -> Envelope_builder.of_directed nl ~windows
-      | Some m -> Envelope_builder.of_directed_memo m nl ~windows
+      | Some f -> f
     in
     let env = Envelope.combine (List.map build ds) in
     delay_noise_of_envelope ~victim:v env

@@ -28,14 +28,15 @@ val delay_noise :
   Tka_circuit.Netlist.t ->
   windows:Envelope_builder.windows ->
   ?own_noise:float ->
-  ?memo:Envelope_builder.memo ->
+  ?envelope:(Coupled_noise.directed -> Tka_waveform.Envelope.t) ->
   victim:Tka_circuit.Netlist.net_id ->
   Coupled_noise.directed list ->
   float
-(** Worst-case (saturated) t50 shift from the given aggressors. [memo]
-    optionally reuses per-aggressor envelopes across calls (see
-    {!Envelope_builder.memo}); results are bitwise-identical with or
-    without it. *)
+(** Worst-case (saturated) t50 shift from the given aggressors.
+    [envelope] supplies each aggressor's envelope (default
+    {!Envelope_builder.of_directed} under [windows]); a caller that
+    passes a cached value must pass exactly that envelope, bit for bit
+    — {!Iterate.rerun} does so from its per-pass table. *)
 
 val delay_noise_of_envelope :
   victim:Tka_waveform.Transition.t -> Tka_waveform.Envelope.t -> float

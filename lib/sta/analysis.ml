@@ -14,48 +14,50 @@ type t = {
 let default_input_arrival _ =
   Timing_window.point ~t50:0. ~slew:Delay_calc.default_input_slew
 
-let run ?(input_arrival = default_input_arrival) ?(extra_lat = fun _ -> 0.) topo =
+let net_window ?(input_arrival = default_input_arrival) nl windows ~extra nid =
+  if extra < 0. then invalid_arg "Analysis.run: negative extra_lat";
+  let w =
+    match (N.net nl nid).N.driver with
+    | N.Primary_input -> input_arrival nid
+    | N.Driven_by gid ->
+      let g = N.gate nl gid in
+      let delay = Delay_calc.stage_delay nl gid in
+      let through (_, in_net) =
+        let wi = windows.(in_net) in
+        Timing_window.make
+          ~eat:(wi.Timing_window.eat +. delay)
+          ~lat:(wi.Timing_window.lat +. delay)
+          ~slew_early:
+            (Delay_calc.stage_output_slew nl gid
+               ~input_slew:wi.Timing_window.slew_early)
+          ~slew_late:
+            (Delay_calc.stage_output_slew nl gid
+               ~input_slew:wi.Timing_window.slew_late)
+      in
+      (match g.N.fanin with
+      | [] -> assert false (* cells have >= 1 input *)
+      | first :: rest ->
+        List.fold_left
+          (fun acc input -> Timing_window.merge acc (through input))
+          (through first) rest)
+  in
+  Timing_window.extend_lat extra w
+
+let run ?input_arrival ?(extra_lat = fun _ -> 0.) topo =
   Trace.with_span ~cat:"sta" "sta.arrival_propagation" @@ fun () ->
   Metrics.Counter.incr m_runs;
   let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
   let windows = Array.make nn (Timing_window.point ~t50:0. ~slew:1.) in
-  let extra nid =
-    let d = extra_lat nid in
-    if d < 0. then invalid_arg "Analysis.run: negative extra_lat";
-    d
-  in
   Array.iter
     (fun nid ->
-      let w =
-        match (N.net nl nid).N.driver with
-        | N.Primary_input -> input_arrival nid
-        | N.Driven_by gid ->
-          let g = N.gate nl gid in
-          let delay = Delay_calc.stage_delay nl gid in
-          let through (_, in_net) =
-            let wi = windows.(in_net) in
-            Timing_window.make
-              ~eat:(wi.Timing_window.eat +. delay)
-              ~lat:(wi.Timing_window.lat +. delay)
-              ~slew_early:
-                (Delay_calc.stage_output_slew nl gid
-                   ~input_slew:wi.Timing_window.slew_early)
-              ~slew_late:
-                (Delay_calc.stage_output_slew nl gid
-                   ~input_slew:wi.Timing_window.slew_late)
-          in
-          (match g.N.fanin with
-          | [] -> assert false (* cells have >= 1 input *)
-          | first :: rest ->
-            List.fold_left
-              (fun acc input -> Timing_window.merge acc (through input))
-              (through first) rest)
-      in
-      windows.(nid) <- Timing_window.extend_lat (extra nid) w)
+      windows.(nid) <-
+        net_window ?input_arrival nl windows ~extra:(extra_lat nid) nid)
     (Topo.net_order topo);
   Metrics.Counter.add m_windows nn;
   { topo; windows }
+
+let of_windows topo windows = { topo; windows }
 
 let topo t = t.topo
 let netlist t = Topo.netlist t.topo

@@ -21,6 +21,20 @@ val run :
       LAT after normal propagation, and therefore propagates
       downstream. *)
 
+val net_window :
+  ?input_arrival:(Tka_circuit.Netlist.net_id -> Timing_window.t) ->
+  Tka_circuit.Netlist.t ->
+  Timing_window.t array ->
+  extra:float ->
+  Tka_circuit.Netlist.net_id ->
+  Timing_window.t
+(** The per-net step of {!run}, the only window formula: one net's
+    window from its fanin windows in the array, LAT pushed by
+    [extra >= 0]. *)
+
+val of_windows : Tka_circuit.Topo.t -> Timing_window.t array -> t
+(** An analysis from a full per-net window array (taken over). *)
+
 val topo : t -> Tka_circuit.Topo.t
 val netlist : t -> Tka_circuit.Netlist.t
 

@@ -80,12 +80,10 @@ let record cx ~trial ~invariant ~detail ?k ?netlist ?set ?edits ?input () =
 
 let fail_detail = function Oracle.Fail d -> Some d | Oracle.Pass | Oracle.Skip _ -> None
 
-let trial_brute cx rng trial =
+(* An oracle trial on one circuit: a failing circuit is shrunk over its
+   couplings, then recorded with [k]. *)
+let circuit_trial cx ~trial ~invariant ~k ~check nl =
   cx.cx_oracle <- cx.cx_oracle + 1;
-  let nl = Gen.small_circuit rng in
-  let k = Rng.int_in rng 1 3 in
-  (* a short per-run budget: the loop must not stall on one instance *)
-  let check nl = Oracle.brute ~budget_s:20. ~k (Topo.create nl) in
   match check nl with
   | Oracle.Pass -> ()
   | Oracle.Skip _ -> cx.cx_skipped <- cx.cx_skipped + 1
@@ -96,7 +94,14 @@ let trial_brute cx rng trial =
       else nl
     in
     let detail = Option.value ~default:detail (fail_detail (check nl)) in
-    record cx ~trial ~invariant:"brute" ~detail ~k ~netlist:(Nf.print nl) ()
+    record cx ~trial ~invariant ~detail ~k ~netlist:(Nf.print nl) ()
+
+let trial_brute cx rng trial =
+  let nl = Gen.small_circuit rng in
+  let k = Rng.int_in rng 1 3 in
+  (* a short per-run budget: the loop must not stall on one instance *)
+  circuit_trial cx ~trial ~invariant:"brute" ~k nl ~check:(fun nl ->
+      Oracle.brute ~budget_s:20. ~k (Topo.create nl))
 
 let trial_duality cx rng trial =
   cx.cx_oracle <- cx.cx_oracle + 1;
@@ -122,21 +127,10 @@ let trial_duality cx rng trial =
   end
 
 let trial_jobs cx rng trial =
-  cx.cx_oracle <- cx.cx_oracle + 1;
   let nl = Gen.medium_circuit rng in
   let k = Rng.int_in rng 2 4 in
-  let check nl = Oracle.jobs ~k (Topo.create nl) in
-  match check nl with
-  | Oracle.Pass -> ()
-  | Oracle.Skip _ -> cx.cx_skipped <- cx.cx_skipped + 1
-  | Oracle.Fail detail ->
-    let nl =
-      if cx.cx_minimize then
-        minimize_couplings ~fails:(fun nl -> fail_detail (check nl) <> None) nl
-      else nl
-    in
-    let detail = Option.value ~default:detail (fail_detail (check nl)) in
-    record cx ~trial ~invariant:"jobs" ~detail ~k ~netlist:(Nf.print nl) ()
+  circuit_trial cx ~trial ~invariant:"jobs" ~k nl ~check:(fun nl ->
+      Oracle.jobs ~k (Topo.create nl))
 
 let trial_incr cx rng trial =
   cx.cx_oracle <- cx.cx_oracle + 1;
@@ -158,25 +152,13 @@ let trial_incr cx rng trial =
       ()
 
 let trial_repair cx rng trial =
-  cx.cx_oracle <- cx.cx_oracle + 1;
   let nl = Gen.medium_circuit rng in
   let k = Rng.int_in rng 2 4 in
   let budget = Rng.int_in rng 1 3 in
-  let check nl = Oracle.repair ~budget ~k nl in
-  match check nl with
-  | Oracle.Pass -> ()
-  | Oracle.Skip _ -> cx.cx_skipped <- cx.cx_skipped + 1
-  | Oracle.Fail detail ->
-    let nl =
-      if cx.cx_minimize then
-        minimize_couplings ~fails:(fun nl -> fail_detail (check nl) <> None) nl
-      else nl
-    in
-    let detail = Option.value ~default:detail (fail_detail (check nl)) in
-    record cx ~trial ~invariant:"repair" ~detail ~k ~netlist:(Nf.print nl) ()
+  circuit_trial cx ~trial ~invariant:"repair" ~k nl ~check:(fun nl ->
+      Oracle.repair ~budget ~k nl)
 
 let trial_filter cx rng trial =
-  cx.cx_oracle <- cx.cx_oracle + 1;
   (* alternate small and medium circuits: small ones keep the exhaustive
      logic-certificate simulation cheap, medium ones exercise the window
      geometry on deeper cones *)
@@ -184,18 +166,14 @@ let trial_filter cx rng trial =
     if Rng.bool rng then Gen.small_circuit rng else Gen.medium_circuit rng
   in
   let k = Rng.int_in rng 1 4 in
-  let check nl = Oracle.filter_consistency ~k (Topo.create nl) in
-  match check nl with
-  | Oracle.Pass -> ()
-  | Oracle.Skip _ -> cx.cx_skipped <- cx.cx_skipped + 1
-  | Oracle.Fail detail ->
-    let nl =
-      if cx.cx_minimize then
-        minimize_couplings ~fails:(fun nl -> fail_detail (check nl) <> None) nl
-      else nl
-    in
-    let detail = Option.value ~default:detail (fail_detail (check nl)) in
-    record cx ~trial ~invariant:"filter" ~detail ~k ~netlist:(Nf.print nl) ()
+  circuit_trial cx ~trial ~invariant:"filter" ~k nl ~check:(fun nl ->
+      Oracle.filter_consistency ~k (Topo.create nl))
+
+let trial_rerank cx rng trial =
+  let nl = Gen.medium_circuit rng in
+  let k = Rng.int_in rng 1 4 in
+  circuit_trial cx ~trial ~invariant:"rerank" ~k nl ~check:(fun nl ->
+      Oracle.rerank ~k (Topo.create nl))
 
 let trial_fuzz cx rng trial =
   cx.cx_fuzz <- cx.cx_fuzz + 1;
@@ -238,17 +216,18 @@ let run ?(seed = 1) ?(trials = 500) ?(budget_s = infinity) ?(minimize = true)
   let trial = ref 0 in
   while !trial < trials && wall () -. t0 < budget_s do
     let rng = Rng.split master in
-    (* two fuzz slots per eight trials: the fuzzer is orders of
+    (* two fuzz slots per nine trials: the fuzzer is orders of
        magnitude cheaper than an oracle trial, so it still dominates in
        count when a budget is set *)
     let family, body =
-      match !trial mod 8 with
+      match !trial mod 9 with
       | 0 -> ("brute", trial_brute)
       | 1 -> ("duality", trial_duality)
       | 2 -> ("jobs", trial_jobs)
       | 3 -> ("incr", trial_incr)
       | 4 -> ("repair", trial_repair)
       | 5 -> ("filter", trial_filter)
+      | 6 -> ("rerank", trial_rerank)
       | _ -> ("fuzz", trial_fuzz)
     in
     Trace.with_span ~cat:"verify"
@@ -315,6 +294,8 @@ let replay (r : Repro.t) =
   | "filter" ->
     with_netlist (fun nl ->
         of_verdict (Oracle.filter_consistency ~k (Topo.create nl)))
+  | "rerank" ->
+    with_netlist (fun nl -> of_verdict (Oracle.rerank ~k (Topo.create nl)))
   | "incr" -> (
     match r.Repro.rp_edits with
     | None -> broken "incr reproducer carries no edit script"

@@ -96,6 +96,35 @@ let jobs ?(jobs = 4) ~k topo =
          "jobs: k=%d results differ bitwise between --jobs 1 and --jobs %d" k
          jobs)
 
+(* Every set the re-ranking scores, in order, so each mode's trajectory
+   also goes through every extension its pools need. *)
+let rerank ~k topo =
+  if N.num_couplings (Topo.netlist topo) = 0 then Skip "no couplings"
+  else begin
+    let mismatch mode pool scratch incr =
+      List.concat_map pool (List.init k succ)
+      |> List.find_map (fun s ->
+             let d0 = scratch topo s and d1 = incr s in
+             if feq d0 d1 then None
+             else
+               Some
+                 (Format.asprintf
+                    "rerank %s: %a scores %.17g by trajectory, %.17g from \
+                     scratch"
+                    mode CS.pp s d1 d0))
+    in
+    let add = Addition.compute ~k topo and elim = Elimination.compute ~k topo in
+    match
+      mismatch "addition" (Addition.pool add) Addition.evaluate_set
+        (Addition.evaluate_set_incr add)
+    with
+    | Some d -> Fail d
+    | None ->
+      Option.fold ~none:Pass ~some:(fun d -> Fail d)
+        (mismatch "elimination" (Elimination.pool elim)
+           Elimination.evaluate_set (Elimination.evaluate_set_incr elim))
+  end
+
 (* Structural FNV-1a over every net, gate binding and coupling in id
    order: pins the exact generated structure, not just the counts, so
    any drift in the generator's draw order shows up as a new value. *)

@@ -20,6 +20,10 @@
     - {!incremental}: re-analysis through the {!Tka_incr} cache after
       an edit script must be bit-identical to a from-scratch run on
       the edited design.
+    - {!rerank}: exact re-ranking scores sets by rerunning a recorded
+      reference trajectory; by induction over passes and topological
+      order that is the scratch fixpoint, so the delays must be
+      bit-identical.
     - {!filter_consistency}: the aggressor candidate filter is a sound
       relaxation — [Off] is bit-identical to the default, filtered
       estimates only ever move toward "less noise found", and every
@@ -45,6 +49,12 @@ val jobs : ?jobs:int -> k:int -> Tka_circuit.Topo.t -> verdict
 (** Bit-identity of a [jobs = 1] and a [jobs = N] (default 4) run of
     {!Tka_topk.Elimination.compute}. The pool default in effect on
     entry is restored on exit. *)
+
+val rerank : k:int -> Tka_circuit.Topo.t -> verdict
+(** For every set in the [k' = 1..k] re-ranking pools of both modes
+    ({!Tka_topk.Addition.pool}, {!Tka_topk.Elimination.pool}), the
+    trajectory score ([evaluate_set_incr]) must be bit-identical to the
+    scratch [evaluate_set]. [Skip] on a design without couplings. *)
 
 val netlist_fingerprint : Tka_circuit.Netlist.t -> string
 (** Structural hash (nets, gate bindings, coupling caps, in id order)

@@ -2,8 +2,8 @@
    timing-window overlap queries against an interval-arithmetic
    reference, the implication analysis against hand-computed tables and
    exhaustive simulation, the Off mode's physical-identity contract,
-   window drop/derate behaviour under synthetic windows, the Ilist
-   singleton fast path, and the envelope memo's bitwise identity. *)
+   window drop/derate behaviour under synthetic windows, and the Ilist
+   singleton fast path. *)
 
 module N = Tka_circuit.Netlist
 module Builder = Tka_circuit.Builder
@@ -11,8 +11,6 @@ module Topo = Tka_circuit.Topo
 module TW = Tka_sta.Timing_window
 module Analysis = Tka_sta.Analysis
 module CN = Tka_noise.Coupled_noise
-module EB = Tka_noise.Envelope_builder
-module Iterate = Tka_noise.Iterate
 module Interval = Tka_util.Interval
 module Envelope = Tka_waveform.Envelope
 module Pulse = Tka_waveform.Pulse
@@ -389,31 +387,6 @@ let test_ilist_fast_paths () =
     (List.length (Ilist.prune ~capacity:0 ~interval ~stats:stats0 [ e ]))
 
 (* ------------------------------------------------------------------ *)
-(* Envelope memo                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_envelope_memo_identity () =
-  let nl = pair_netlist () in
-  let topo = Topo.create nl in
-  let a = Analysis.run topo in
-  let windows = Analysis.window a in
-  let d = victim_directed nl in
-  let memo = EB.create_memo () in
-  let fresh = EB.of_directed nl ~windows d in
-  let m1 = EB.of_directed_memo memo nl ~windows d in
-  let m2 = EB.of_directed_memo memo nl ~windows d in
-  Alcotest.(check bool)
-    "memoised envelope equals fresh" true
-    (Envelope.equal fresh m1);
-  Alcotest.(check bool) "second lookup is the cached value" true (m1 == m2);
-  (* end to end: a full fixpoint with and without the memo is bitwise
-     identical *)
-  let run em = Iterate.circuit_delay (Iterate.run ?env_memo:em topo) in
-  Alcotest.(check bool)
-    "fixpoint delay bitwise identical under memo" true
-    (feq (run None) (run (Some (EB.create_memo ()))))
-
-(* ------------------------------------------------------------------ *)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -444,9 +417,4 @@ let () =
         ] );
       ( "ilist",
         [ Alcotest.test_case "fast paths" `Quick test_ilist_fast_paths ] );
-      ( "memo",
-        [
-          Alcotest.test_case "bitwise identity" `Quick
-            test_envelope_memo_identity;
-        ] );
     ]

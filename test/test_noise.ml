@@ -556,6 +556,64 @@ let test_path_noise_quiet_design () =
   let p = Pn.worst_path it in
   check_f6 "no noise anywhere" 0. (Pn.total_path_noise p)
 
+(* ------------------------------------------------------------------ *)
+(* Trajectory reruns                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let same_f a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_window (a : TW.t) (b : TW.t) =
+  same_f a.TW.eat b.TW.eat && same_f a.TW.lat b.TW.lat
+  && same_f a.TW.slew_early b.TW.slew_early
+  && same_f a.TW.slew_late b.TW.slew_late
+
+(* bitwise on everything a rerun reports: delay, per-net noise and
+   final windows, pass count and convergence *)
+let same_run nl (a : Iterate.t) (b : Iterate.t) =
+  same_f (Iterate.circuit_delay a) (Iterate.circuit_delay b)
+  && a.Iterate.iterations = b.Iterate.iterations
+  && a.Iterate.converged = b.Iterate.converged
+  && Array.for_all2 same_f a.Iterate.noise b.Iterate.noise
+  && List.for_all
+       (fun n -> same_window (Iterate.windows a n) (Iterate.windows b n))
+       (List.init (N.num_nets nl) Fun.id)
+
+(* Random circuits and random coupling sets of size 1-5 (and the empty
+   set, which must replay the reference itself) flipped against both
+   references (the noiseless run, as for addition, and the
+   all-aggressor run, as for elimination). One trajectory per reference
+   serves every set and cap, so reruns also exercise a trajectory that
+   earlier reruns extended; caps 1 and 2 hit the non-converged path. *)
+let prop_rerun_matches_scratch =
+  QCheck.Test.make ~name:"trajectory rerun matches scratch" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Tka_util.Rng.create seed in
+      let nl = Tka_verify.Gen.medium_circuit rng in
+      let topo = Topo.create nl in
+      let u = 2 * N.num_couplings nl in
+      List.for_all
+        (fun ref_active ->
+          let tj = Iterate.trajectory ~active:ref_active topo in
+          List.for_all
+            (fun max_iterations ->
+              List.for_all
+                (fun size ->
+                  let flip =
+                    Array.init u Fun.id
+                    |> Tka_util.Rng.sample rng (min size u)
+                    |> Array.to_list
+                  in
+                  let active d =
+                    ref_active d <> List.mem (CN.directed_id d) flip
+                  in
+                  same_run nl
+                    (Iterate.run ~active ~max_iterations topo)
+                    (Iterate.rerun ~max_iterations tj ~flip))
+                [ 0; Tka_util.Rng.int_in rng 1 5; Tka_util.Rng.int_in rng 1 5 ])
+            [ 1; 30; 2 ])
+        [ (fun _ -> false); (fun _ -> true) ])
+
 let () =
   Alcotest.run "tka_noise"
     [
@@ -628,4 +686,6 @@ let () =
           Alcotest.test_case "benchmark convergence" `Quick
             test_iterate_converges_on_benchmark;
         ] );
+      ( "rerun",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_rerun_matches_scratch ] );
     ]

@@ -621,6 +621,36 @@ let test_kvalue_elimination_recommendation () =
     r.Kv.kv_curve
 
 (* ------------------------------------------------------------------ *)
+(* Exact incremental re-ranking                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every set the re-ranking scores must get, through the recorded
+   trajectory, the scratch analysis's delay bit for bit. *)
+let test_rerank_pools_bitwise name () =
+  let nl = Option.get (B.by_name name) in
+  let topo = Topo.create nl in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let check mode pool scratch incr =
+    for k = 1 to 5 do
+      List.iter
+        (fun s ->
+          let d0 = scratch topo s and d1 = incr s in
+          if not (same d0 d1) then
+            Alcotest.failf "%s %s k=%d %s: scratch %.17g, trajectory %.17g"
+              name mode k
+              (Format.asprintf "%a" CS.pp s)
+              d0 d1)
+        (pool k)
+    done
+  in
+  let add = Addition.compute ~k:5 topo in
+  check "addition" (Addition.pool add) Addition.evaluate_set
+    (Addition.evaluate_set_incr add);
+  let elim = Elimination.compute ~k:5 topo in
+  check "elimination" (Elimination.pool elim) Elimination.evaluate_set
+    (Elimination.evaluate_set_incr elim)
+
+(* ------------------------------------------------------------------ *)
 (* Random-circuit engine properties                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -837,6 +867,13 @@ let () =
             test_sensitivity_zero_noise_is_stable;
           Alcotest.test_case "perturbed" `Quick test_sensitivity_perturbed;
           Alcotest.test_case "elimination" `Quick test_sensitivity_elimination_runs;
+        ] );
+      ( "rerank",
+        [
+          Alcotest.test_case "i1 pools bitwise" `Slow
+            (test_rerank_pools_bitwise "i1");
+          Alcotest.test_case "i2 pools bitwise" `Slow
+            (test_rerank_pools_bitwise "i2");
         ] );
       ( "report",
         [
