@@ -30,6 +30,7 @@ module Iterate = Tka_noise.Iterate
 module Engine = Tka_topk.Engine
 module Addition = Tka_topk.Addition
 module Elimination = Tka_topk.Elimination
+module Rerank = Tka_topk.Rerank
 module BF = Tka_topk.Brute_force
 module CS = Tka_topk.Coupling_set
 module Tt = Tka_util.Text_table
@@ -587,12 +588,11 @@ let run_filter o =
               let topk_delta =
                 let d = ref 0 in
                 for i = 1 to k do
-                  let set r =
-                    Option.map
-                      (fun c -> c.Engine.ch_set)
-                      r.Engine.res_per_k.(i)
-                  in
-                  if not (Option.equal CS.equal (set r_none) (set r)) then incr d
+                  if
+                    not
+                      (Option.equal CS.equal (Engine.pick r_none i)
+                         (Engine.pick r i))
+                  then incr d
                 done;
                 !d
               in
@@ -802,9 +802,9 @@ let run_repair o =
 
 (* Every set the k = 1..5 re-ranking pools of both modes score on the
    first circuit of the run, evaluated once by the scratch fixpoint
-   (Addition/Elimination.evaluate_set) and once by a rerun of the
-   recorded reference trajectory (evaluate_set_incr, reference build
-   included in the timing). The two must agree bit for bit (hard
+   (Rerank.evaluate_set) and once by a rerun of the recorded reference
+   trajectory (Rerank.evaluate_set_incr, reference build included in
+   the timing). The two must agree bit for bit (hard
    failure otherwise); the `rerank` section of BENCH_topk.json records
    both times and the mean recomputed cone per evaluation. *)
 let run_rerank o =
@@ -815,11 +815,12 @@ let run_rerank o =
     (Printf.sprintf "Exact incremental re-ranking: %s, k=1..%d pools, both modes"
        name k);
   let _, topo = circuit name in
-  let add = Addition.compute ~k topo in
-  let elim = Elimination.compute ~k topo in
-  let pools pool = List.concat_map pool (List.init k (fun i -> i + 1)) in
-  let add_sets = pools (Addition.pool add) in
-  let elim_sets = pools (Elimination.pool elim) in
+  let add = (Addition.compute ~k topo).Addition.rerank in
+  let elim = (Elimination.compute ~k topo).Elimination.rerank in
+  let pools r = List.concat_map (Rerank.pool r) (List.init k (fun i -> i + 1)) in
+  let add_sets = pools add in
+  let elim_sets = pools elim in
+  let modes = [ (add, add_sets); (elim, elim_sets) ] in
   let evaluations = List.length add_sets + List.length elim_sets in
   let timed f =
     let t0 = wall () in
@@ -828,8 +829,10 @@ let run_rerank o =
   in
   let scratch, t_scratch =
     timed (fun () ->
-        List.map (Addition.evaluate_set topo) add_sets
-        @ List.map (Elimination.evaluate_set topo) elim_sets)
+        List.concat_map
+          (fun (r, sets) ->
+            List.map (Rerank.evaluate_set ~mode:(Rerank.mode r) topo) sets)
+          modes)
   in
   let counter name =
     Option.fold ~none:0 ~some:Metrics.Counter.value (Metrics.find_counter name)
@@ -839,8 +842,9 @@ let run_rerank o =
   let incr, t_incr =
     Metrics.with_enabled true (fun () ->
         timed (fun () ->
-            List.map (Addition.evaluate_set_incr add) add_sets
-            @ List.map (Elimination.evaluate_set_incr elim) elim_sets))
+            List.concat_map
+              (fun (r, sets) -> List.map (Rerank.evaluate_set_incr r) sets)
+              modes))
   in
   let per_eval c0 c =
     float_of_int (counter c - c0) /. float_of_int (max 1 evaluations)

@@ -524,26 +524,36 @@ let falseagg_cmd =
     run_obs obs (fun () ->
         let nl = load ~liberty path in
         let topo = Topo.create nl in
-        let a = Analysis.run topo in
-        let c =
-          Tka_noise.False_aggressors.classify ~windows:(Analysis.window a) nl
+        let filt =
+          Tka_filter.Filter.prepare ~mode:Fmode.Window
+            ~windows:(Analysis.window (Analysis.run topo)) topo
         in
-        let module Fa = Tka_noise.False_aggressors in
+        let module CN = Tka_noise.Coupled_noise in
+        let dropped, live =
+          List.init (N.num_nets nl) (CN.aggressors_of_victim nl)
+          |> List.concat
+          |> List.partition (fun d ->
+                 Tka_filter.Filter.(decide filt d = Drop Window_disjoint))
+        in
+        let n_false = List.length dropped and n_live = List.length live in
         Printf.printf
           "directed couplings: %d live, %d provably false (%.1f%% prunable)\n"
-          (List.length c.Fa.fa_true) (List.length c.Fa.fa_false)
-          (100. *. Fa.false_fraction c);
+          n_live n_false
+          (if n_false + n_live = 0 then 0.
+           else 100. *. float_of_int n_false /. float_of_int (n_false + n_live));
         List.iteri
           (fun i d ->
             if i < 10 then
               Printf.printf "  false: %s -> %s\n"
-                (N.net nl d.Tka_noise.Coupled_noise.dc_aggressor).N.net_name
-                (N.net nl d.Tka_noise.Coupled_noise.dc_victim).N.net_name)
-          c.Fa.fa_false)
+                (N.net nl d.CN.dc_aggressor).N.net_name
+                (N.net nl d.CN.dc_victim).N.net_name)
+          dropped)
   in
   Cmd.v
     (Cmd.info "falseagg"
-       ~doc:"Identify false aggressors (couplings that can never create delay noise).")
+       ~doc:
+         "Identify false aggressors: couplings the window filter proves can \
+          never create delay noise under noiseless windows.")
     Term.(const run $ obs_term $ liberty_arg $ netlist_pos)
 
 (* ------------------------------------------------------------------ *)

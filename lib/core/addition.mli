@@ -4,16 +4,15 @@
     is the set of k aggressor–victim couplings whose delay noise, when
     added, maximises circuit delay — the "which couplings matter most"
     question. This module runs the implicit-enumeration engine in
-    addition mode and re-evaluates chosen sets exactly with the
+    addition mode; {!Rerank} re-evaluates chosen sets exactly with the
     iterative noise analysis. *)
 
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  reference : Tka_noise.Iterate.trajectory Lazy.t;
-      (** the noiseless run the exact re-ranking replays
-          ({!Tka_noise.Iterate.rerun}); built on the first score. Not
-          thread-safe: re-rank a given [t] from one thread at a time. *)
+  rerank : Rerank.t;
+      (** re-ranks {!candidates} against the noiseless reference,
+          recombining the members of every cardinality's candidates *)
 }
 
 val compute :
@@ -30,44 +29,23 @@ val compute :
     (default [Off]) selects the pre-engine aggressor pruning mode. *)
 
 val set : t -> int -> Coupling_set.t option
-(** The chosen top-i set (best of the engine's sink candidates by exact
-    evaluation). *)
+(** The chosen top-i set: the set of {!best_choice}. *)
 
 val candidates : t -> int -> Coupling_set.t list
 (** The engine's retained sink candidates for cardinality i, best first
     by the first-order score. *)
 
-val pool : t -> int -> Coupling_set.t list
-(** Every set {!best_choice} scores for cardinality i: {!candidates}
-    followed by the bounded recombination of their members
-    ({!Refine.subsets}), deduplicated. *)
-
-val best_choice : t -> int -> (Coupling_set.t * float) option
-(** The exact-evaluation winner of {!pool} (first best on ties), with
-    its delay. *)
-
 val estimated_delay : t -> int -> float
 (** Engine estimate: noiseless delay + predicted noise of the set. *)
 
+(** {1 Exact re-ranking} See {!Rerank}. *)
+
+val pool : t -> int -> Coupling_set.t list
+val best_choice : t -> int -> (Coupling_set.t * float) option
 val evaluate : t -> int -> float
-(** Exact circuit delay of {!best_choice}: a full iterative noise
-    analysis restricted to those couplings. Falls back to the noiseless
-    delay when no set of that cardinality exists. *)
-
 val evaluate_set : Tka_circuit.Topo.t -> Coupling_set.t -> float
-(** Exact delay for an arbitrary addition set (scratch fixpoint). *)
-
 val evaluate_set_incr : t -> Coupling_set.t -> float
-(** {!evaluate_set} by a rerun of [t]'s reference, bitwise equal to it:
-    how {!best_choice} and {!evaluate_curve} score. *)
-
-val evaluate_curve :
-  t -> ks:int list -> (int * Coupling_set.t * float) list
-(** Exact delays for the requested cardinalities (sorted, deduplicated),
-    with a monotone repair: if the engine's top-k set evaluates worse
-    than the top-(k-1) choice, the previous set padded by one coupling
-    replaces it (a superset is always at least as strong), so the
-    reported curve is monotone like the paper's Table 2. *)
+val evaluate_curve : t -> ks:int list -> (int * Coupling_set.t * float) list
 
 val noiseless_delay : t -> float
 val all_aggressor_delay : t -> float

@@ -5,14 +5,15 @@
     circuit delay the most — "which k fixes buy the most". Dual of
     {!Addition}: the engine starts from noisy timing windows and
     subtracts candidate envelopes from the victim's total noise
-    envelope. *)
+    envelope; {!Rerank} re-evaluates chosen sets exactly. *)
 
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  reference : Tka_noise.Iterate.trajectory Lazy.t;
-      (** the all-aggressor run the exact re-ranking replays; see
-          {!Addition.t}. Sequential use only. *)
+  rerank : Rerank.t;
+      (** re-ranks {!candidates} against the all-aggressor reference,
+          recombining the members of both engines' retained sets:
+          per cardinality, {!candidates} then the dual's sink list *)
   dual : Engine.result;
       (** the addition-mode enumeration of the same circuit — the
           paper's dual problem. Strong noise contributors are prime
@@ -51,34 +52,14 @@ val candidates : t -> int -> Coupling_set.t list
 val estimated_delay : t -> int -> float
 (** Engine estimate: noisy delay − predicted benefit. *)
 
+(** {1 Exact re-ranking} See {!Rerank}. *)
+
 val pool : t -> int -> Coupling_set.t list
-(** Every set {!best_choice} scores for cardinality i: {!candidates}
-    followed by the bounded recombination of the members of both
-    engines' retained sets ({!Refine.subsets}), deduplicated. *)
-
 val best_choice : t -> int -> (Coupling_set.t * float) option
-(** The exact-evaluation winner of {!pool} (first best on ties) — the
-    elimination pick, the dual pick or a recombination — with its
-    delay. *)
-
 val evaluate : t -> int -> float
-(** Exact circuit delay with the better of {!set} and {!dual_set}
-    removed (full iterative analysis of everything else). Falls back
-    to the all-aggressor delay when no set exists. *)
-
 val evaluate_set : Tka_circuit.Topo.t -> Coupling_set.t -> float
-(** Exact delay with an arbitrary set removed (scratch fixpoint). *)
-
 val evaluate_set_incr : t -> Coupling_set.t -> float
-(** As {!Addition.evaluate_set_incr}. *)
-
-val evaluate_curve :
-  t -> ks:int list -> (int * Coupling_set.t * float) list
-(** Exact delays for the requested cardinalities (sorted, deduplicated),
-    with a monotone repair: if the engine's top-k set evaluates worse
-    than the top-(k-1) choice, the previous set padded by one coupling
-    replaces it (a superset is always at least as strong), so the
-    reported curve is monotone like the paper's Table 2. *)
+val evaluate_curve : t -> ks:int list -> (int * Coupling_set.t * float) list
 
 val noiseless_delay : t -> float
 val all_aggressor_delay : t -> float

@@ -792,3 +792,11 @@ let estimated_delay r i =
     match r.res_mode with
     | Addition -> Float.max r.res_noiseless_delay (r.res_noiseless_delay +. c.ch_objective)
     | Elimination -> Float.max r.res_noiseless_delay (r.res_noisy_delay -. c.ch_objective))
+
+let pick r i =
+  if i < 1 || i >= Array.length r.res_per_k then None
+  else Option.map (fun c -> c.ch_set) r.res_per_k.(i)
+
+let top r i =
+  if i < 1 || i >= Array.length r.res_top then []
+  else List.map (fun c -> c.ch_set) r.res_top.(i)

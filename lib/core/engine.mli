@@ -27,6 +27,9 @@
 
 type mode = Addition | Elimination
 
+val mode_name : mode -> string
+(** ["addition"] or ["elimination"]. *)
+
 type config = {
   k : int;  (** maximum cardinality to enumerate *)
   capacity : int;  (** irredundant-list capacity per cardinality *)
@@ -114,11 +117,12 @@ type victim_cache = {
 }
 (** [vc_lookup] receives an accessor into the sweep's live summary
     array so the provider can key a victim on the {e values} its
-    enumeration will consult. The sweep is level-synchronous, so when
-    a victim at level [l] is looked up, every net at a strictly lower
-    level — its driver fanins and the coupling partners whose
-    published summaries it reads — is final; the accessor must only
-    be applied to such nets, and only during the lookup. Both
+    enumeration will consult. Every sweep (sequential, cone-sharded or
+    level-synchronous; see {!compute}) looks a victim up only once
+    every net of a strictly lower level in its cone shard is final —
+    which covers its driver fanins and the coupling partners whose
+    published summaries it reads; the accessor must only be applied
+    to such nets, and only during the lookup. Both
     functions may be called concurrently from pool workers; the
     provider must be domain-safe. [vc_store] is called once per
     processed (non-cached) victim, after its lookup missed. *)
@@ -136,12 +140,22 @@ val compute :
     k share it so the measured runtime is the enumeration itself.
 
     When the shared {!Tka_parallel.Pool} has more than one domain the
-    topological sweep runs level-synchronously in parallel; results —
-    sets, objectives and [res_stats] — are bit-identical at any jobs
-    count (see [docs/parallelism.md]). *)
+    topological sweep runs in parallel: one job per cone shard
+    ({!Tka_circuit.Topo.cone_shards}) when the circuit has several,
+    level-synchronously otherwise. Results — sets, objectives and
+    [res_stats] — are bit-identical at any jobs count (see
+    [docs/parallelism.md]). *)
+
+val pick : result -> int -> Coupling_set.t option
+(** [pick r i]: the engine's own top-[i] set ([res_per_k]); [None] for
+    an out-of-range [i] or an empty cardinality. *)
+
+val top : result -> int -> Coupling_set.t list
+(** [top r i]: the retained sink candidates of cardinality [i]
+    ([res_top]), best first; [[]] for an out-of-range [i]. *)
 
 val estimated_delay : result -> int -> float
 (** [estimated_delay r i]: the circuit delay the engine predicts for
     the top-[i] set — noiseless delay + objective for addition, noisy
     delay − objective for elimination. Exact re-evaluation is provided
-    by {!Addition.evaluate} / {!Elimination.evaluate}. *)
+    by {!Rerank.evaluate}. *)

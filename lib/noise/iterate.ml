@@ -16,8 +16,6 @@ let g_residual = Metrics.Gauge.make "iterate.last_residual_ns"
 let m_retimed = Metrics.Counter.make "iterate.retimed_nets"
 let m_rescored = Metrics.Counter.make "iterate.rescored_victims"
 
-type mode = From_noiseless | From_all_overlap
-
 (* shared by [run] and [rerun], whose results must agree bit for bit *)
 let default_max_iterations = 30
 let tolerance = 1e-4
@@ -48,8 +46,8 @@ let finish nl ~max_iterations ~residual ~converged =
           (N.name nl))
   end
 
-let run ?(mode = From_noiseless) ?(active = fun _ -> true)
-    ?(max_iterations = default_max_iterations) ?(tolerance = tolerance) topo =
+let run ?(active = fun _ -> true) ?(max_iterations = default_max_iterations)
+    topo =
   Trace.with_span ~cat:"noise" "iterate.run" @@ fun () ->
   let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
@@ -59,15 +57,6 @@ let run ?(mode = From_noiseless) ?(active = fun _ -> true)
         List.filter active (Coupled_noise.aggressors_of_victim nl v))
   in
   let noise = Array.make nn 0. in
-  (match mode with
-  | From_noiseless -> ()
-  | From_all_overlap ->
-    (* start from the infinite-window bound of each net *)
-    let w = Analysis.window base in
-    for v = 0 to nn - 1 do
-      noise.(v) <-
-        Victim_noise.upper_bound nl ~windows:w ~victim:v aggressors.(v)
-    done);
   let iterations = ref 0 in
   let converged = ref false in
   let residual = ref 0. in

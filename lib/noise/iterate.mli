@@ -9,19 +9,15 @@
     + STA with per-net extra late push = current noise estimates,
     + per-victim worst-case delay noise with the resulting windows,
 
-    until the noise vector is stable. Starting [`From_noiseless]
-    ascends to the least fixpoint; [`From_all_overlap] starts from the
-    infinite-window noise bound and descends (the two standard starting
-    points; both converge on a complete lattice, per Zhou). Industrial
-    tools report 3–4 iterations; so does this implementation on the
-    generated benchmarks.
+    until the noise vector is stable. Starting from zero noise, it
+    ascends to the least fixpoint (Zhou's complete-lattice argument).
+    Industrial tools report 3–4 iterations; so does this implementation
+    on the generated benchmarks.
 
     The [active] predicate selects which directed couplings inject
     noise: the whole design for ordinary analysis, only a candidate set
     when evaluating a top-k addition set, or everything {e except} a
     candidate set for elimination. *)
-
-type mode = From_noiseless | From_all_overlap
 
 type t = {
   analysis : Tka_sta.Analysis.t;  (** final STA, windows include noise *)
@@ -32,15 +28,14 @@ type t = {
 }
 
 val run :
-  ?mode:mode ->
   ?active:(Coupled_noise.directed -> bool) ->
   ?max_iterations:int ->
-  ?tolerance:float ->
   Tka_circuit.Topo.t ->
   t
-(** Defaults: [From_noiseless], all couplings active, at most 30
-    iterations, tolerance 1e-4 ns (0.1 ps). Logs a warning (source
-    [iterate]) if the iteration cap is hit before convergence; each run
+(** Defaults: all couplings active, at most 30 iterations. A run has
+    converged once no net's noise moves by more than 1e-4 ns (0.1 ps)
+    in a pass. Logs a warning (source [iterate]) if the iteration cap
+    is hit before convergence; each run
     updates the [iterate.runs]/[iterate.passes] counters and the
     [iterate.last_residual_ns] gauge when {!Tka_obs.Metrics} is
     enabled. *)
@@ -59,10 +54,9 @@ val run :
     incremental re-ranking"). *)
 
 type trajectory
-(** The reference [From_noiseless] run under one active predicate. Its
-    passes (with each pass's aggressor envelopes, at most one per
-    directed coupling) are recorded on demand, also past its own
-    convergence. Reruns mutate it: use it from one thread at a time. *)
+(** The reference {!run} under one active predicate. Its passes
+    (with each pass's aggressor envelopes, at most one per directed
+    coupling) are recorded on demand, also past its own convergence. Reruns mutate it: use it from one thread at a time. *)
 
 val trajectory :
   ?active:(Coupled_noise.directed -> bool) -> Tka_circuit.Topo.t -> trajectory
@@ -70,12 +64,11 @@ val trajectory :
 
 val rerun : ?max_iterations:int -> trajectory -> flip:int list -> t
 (** [rerun tj ~flip] is, bit for bit, {!run} with the same iteration
-    cap and the default tolerance under the reference's predicate with
-    the directed couplings whose ids ({!Coupled_noise.directed_id}) are
-    in [flip] toggled; [flip] holds directed couplings of the circuit.
-    Updates the same metrics as {!run}, plus
-    the [iterate.retimed_nets] / [iterate.rescored_victims] counters of
-    recomputed values. *)
+    cap under the reference's predicate with the directed couplings
+    whose ids ({!Coupled_noise.directed_id}) are in [flip] toggled;
+    [flip] holds directed couplings of the circuit. Updates the same
+    metrics as {!run}, plus the [iterate.retimed_nets] /
+    [iterate.rescored_victims] counters of recomputed values. *)
 
 val circuit_delay : t -> float
 (** Max noisy LAT over primary outputs. *)

@@ -4,6 +4,7 @@ module Addition = Tka_topk.Addition
 module Elimination = Tka_topk.Elimination
 module BF = Tka_topk.Brute_force
 module CS = Tka_topk.Coupling_set
+module Rerank = Tka_topk.Rerank
 module Pool = Tka_parallel.Pool
 module Eco = Tka_incr.Eco
 module Analyzer = Tka_incr.Analyzer
@@ -101,28 +102,23 @@ let jobs ?(jobs = 4) ~k topo =
 let rerank ~k topo =
   if N.num_couplings (Topo.netlist topo) = 0 then Skip "no couplings"
   else begin
-    let mismatch mode pool scratch incr =
-      List.concat_map pool (List.init k succ)
+    let mismatch r =
+      let mode = Rerank.mode r in
+      List.concat_map (Rerank.pool r) (List.init k succ)
       |> List.find_map (fun s ->
-             let d0 = scratch topo s and d1 = incr s in
+             let d0 = Rerank.evaluate_set ~mode topo s
+             and d1 = Rerank.evaluate_set_incr r s in
              if feq d0 d1 then None
              else
                Some
                  (Format.asprintf
                     "rerank %s: %a scores %.17g by trajectory, %.17g from \
                      scratch"
-                    mode CS.pp s d1 d0))
+                    (Tka_topk.Engine.mode_name mode) CS.pp s d1 d0))
     in
     let add = Addition.compute ~k topo and elim = Elimination.compute ~k topo in
-    match
-      mismatch "addition" (Addition.pool add) Addition.evaluate_set
-        (Addition.evaluate_set_incr add)
-    with
-    | Some d -> Fail d
-    | None ->
-      Option.fold ~none:Pass ~some:(fun d -> Fail d)
-        (mismatch "elimination" (Elimination.pool elim)
-           Elimination.evaluate_set (Elimination.evaluate_set_incr elim))
+    Option.fold ~none:Pass ~some:(fun d -> Fail d)
+      (List.find_map mismatch [ add.Addition.rerank; elim.Elimination.rerank ])
   end
 
 (* Structural FNV-1a over every net, gate binding and coupling in id

@@ -2,8 +2,8 @@
    timing-window overlap queries against an interval-arithmetic
    reference, the implication analysis against hand-computed tables and
    exhaustive simulation, the Off mode's physical-identity contract,
-   window drop/derate behaviour under synthetic windows, and the Ilist
-   singleton fast path. *)
+   window drop/derate behaviour under synthetic and noiseless windows,
+   and the Ilist singleton fast path. *)
 
 module N = Tka_circuit.Netlist
 module Builder = Tka_circuit.Builder
@@ -11,6 +11,8 @@ module Topo = Tka_circuit.Topo
 module TW = Tka_sta.Timing_window
 module Analysis = Tka_sta.Analysis
 module CN = Tka_noise.Coupled_noise
+module VN = Tka_noise.Victim_noise
+module B = Tka_layout.Benchmarks
 module Interval = Tka_util.Interval
 module Envelope = Tka_waveform.Envelope
 module Pulse = Tka_waveform.Pulse
@@ -353,6 +355,85 @@ let test_derate_factor () =
   Alcotest.(check (float 1e-9)) "half overlap -> 0.5" 0.5 f
 
 (* ------------------------------------------------------------------ *)
+(* Reach under noiseless windows (what `tka falseagg` lists)          *)
+(* ------------------------------------------------------------------ *)
+
+let noiseless_window_filter nl =
+  let topo = Topo.create nl in
+  let windows = Analysis.window (Analysis.run topo) in
+  (windows, Filter.prepare ~mode:Mode.Window ~windows topo)
+
+(* aggressor far earlier than the victim: its pulse is long gone *)
+let far_apart () =
+  let b = Builder.create ~name:"far" () in
+  let ia = Builder.add_input b "ia" in
+  let iv = Builder.add_input b "iv" in
+  let agg = Builder.add_net b "agg" in
+  (* the victim sits behind a 6-inverter chain, far later than agg *)
+  let prev = ref iv in
+  for i = 1 to 6 do
+    let n = Builder.add_net b (Printf.sprintf "d%d" i) in
+    ignore
+      (Builder.add_gate b ~name:(Printf.sprintf "gd%d" i) ~cell:Lib.inverter
+         ~inputs:[ ("A", !prev) ] ~output:n);
+    prev := n
+  done;
+  let vic = Builder.add_net b "vic" in
+  ignore
+    (Builder.add_gate b ~name:"ga" ~cell:Lib.inverter ~inputs:[ ("A", ia) ]
+       ~output:agg);
+  ignore
+    (Builder.add_gate b ~name:"gv" ~cell:Lib.inverter ~inputs:[ ("A", !prev) ]
+       ~output:vic);
+  Builder.mark_output b vic;
+  Builder.mark_output b agg;
+  ignore (Builder.add_coupling b agg vic 0.004);
+  Builder.finalize b
+
+let test_far_apart_dropped () =
+  let nl = far_apart () in
+  let _, filt = noiseless_window_filter nl in
+  let vic = (N.find_net_exn nl "vic").N.net_id in
+  match CN.aggressors_of_victim nl vic with
+  | [ d ] -> (
+    match Filter.decide filt d with
+    | Filter.Drop Filter.Window_disjoint -> ()
+    | _ -> Alcotest.fail "agg -> vic must be a window drop")
+  | ds -> Alcotest.failf "expected 1 directed coupling, got %d" (List.length ds)
+
+(* every window drop really contributes zero single-pass delay noise *)
+let test_drops_inert_on_i1 () =
+  let nl = Option.get (B.by_name "i1") in
+  let windows, filt = noiseless_window_filter nl in
+  let drops = ref 0 in
+  for v = 0 to N.num_nets nl - 1 do
+    List.iter
+      (fun d ->
+        match Filter.decide filt d with
+        | Filter.Drop _ ->
+          incr drops;
+          Alcotest.(check (float 1e-9))
+            "drop means zero noise" 0.
+            (VN.delay_noise nl ~windows ~victim:v [ d ])
+        | Filter.Keep | Filter.Derate _ -> ())
+      (CN.aggressors_of_victim nl v)
+  done;
+  Alcotest.(check bool) "some drops" true (!drops > 0)
+
+(* aggressor and victim switch together: neither direction is dropped *)
+let test_near_pair_kept () =
+  let nl = pair_netlist () in
+  let _, filt = noiseless_window_filter nl in
+  for v = 0 to N.num_nets nl - 1 do
+    List.iter
+      (fun d ->
+        match Filter.decide filt d with
+        | Filter.Drop _ -> Alcotest.fail "same-timing coupling dropped"
+        | Filter.Keep | Filter.Derate _ -> ())
+      (CN.aggressors_of_victim nl v)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Ilist singleton fast path                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -414,6 +495,13 @@ let () =
           Alcotest.test_case "off identity" `Quick test_off_identity;
           Alcotest.test_case "screen subset" `Quick test_screen_subset;
           Alcotest.test_case "derate factor" `Quick test_derate_factor;
+        ] );
+      ( "reach",
+        [
+          Alcotest.test_case "far-apart window drop" `Quick
+            test_far_apart_dropped;
+          Alcotest.test_case "drops inert on i1" `Quick test_drops_inert_on_i1;
+          Alcotest.test_case "near pair kept" `Quick test_near_pair_kept;
         ] );
       ( "ilist",
         [ Alcotest.test_case "fast paths" `Quick test_ilist_fast_paths ] );

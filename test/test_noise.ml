@@ -232,18 +232,6 @@ let test_iterate_subset_bounded_by_full () =
   Alcotest.(check bool) "subset noise <= full noise" true
     (Iterate.circuit_delay one <= Iterate.circuit_delay full +. 1e-9)
 
-let test_iterate_all_overlap_start_agrees () =
-  (* both starting points converge to comparable fixpoints; the
-     descending one can only be >= the ascending one *)
-  let nl = two_chains ~stages:3 ~coupling:0.006 in
-  let topo = Topo.create nl in
-  let up = Iterate.run ~mode:Iterate.From_noiseless topo in
-  let down = Iterate.run ~mode:Iterate.From_all_overlap topo in
-  Alcotest.(check bool) "both converged" true
-    (up.Iterate.converged && down.Iterate.converged);
-  Alcotest.(check bool) "lattice order" true
-    (Iterate.circuit_delay down >= Iterate.circuit_delay up -. 1e-6)
-
 let test_iterate_net_noise_nonneg () =
   let nl = two_chains ~stages:3 ~coupling:0.006 in
   let topo = Topo.create nl in
@@ -415,69 +403,6 @@ let test_xtalk_worst_victims () =
   Alcotest.(check bool) "render mentions victim" true (String.length s > 10)
 
 (* ------------------------------------------------------------------ *)
-(* False aggressors                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Fa = Tka_noise.False_aggressors
-
-(* aggressor far earlier than the victim: its pulse is long gone *)
-let far_apart () =
-  let b = Builder.create ~name:"far" () in
-  let ia = Builder.add_input b "ia" in
-  let iv = Builder.add_input b "iv" in
-  let agg = Builder.add_net b "agg" in
-  (* the victim sits behind a 6-inverter chain, far later than agg *)
-  let prev = ref iv in
-  for i = 1 to 6 do
-    let n = Builder.add_net b (Printf.sprintf "d%d" i) in
-    ignore
-      (Builder.add_gate b ~name:(Printf.sprintf "gd%d" i) ~cell:Lib.inverter
-         ~inputs:[ ("A", !prev) ] ~output:n);
-    prev := n
-  done;
-  let vic = Builder.add_net b "vic" in
-  ignore (Builder.add_gate b ~name:"ga" ~cell:Lib.inverter ~inputs:[ ("A", ia) ] ~output:agg);
-  ignore (Builder.add_gate b ~name:"gv" ~cell:Lib.inverter ~inputs:[ ("A", !prev) ] ~output:vic);
-  Builder.mark_output b vic;
-  Builder.mark_output b agg;
-  ignore (Builder.add_coupling b agg vic 0.004);
-  Builder.finalize b
-
-let test_false_aggressor_detected () =
-  let nl = far_apart () in
-  let _, w = windows_of nl in
-  let c = Fa.classify ~windows:w nl in
-  (* agg -> vic direction is false (pulse ends long before the victim
-     switches); vic -> agg direction is also false (pulse comes after
-     agg has settled... here vic switches later, so it is TRUE for agg?
-     no: a disturbance after agg's sensitive interval cannot delay it *)
-  let vic = (N.find_net_exn nl "vic").N.net_id in
-  Alcotest.(check bool) "agg->vic classified false" true
-    (List.exists (fun d -> d.CN.dc_victim = vic) c.Fa.fa_false);
-  Alcotest.(check bool) "fraction positive" true (Fa.false_fraction c > 0.)
-
-let test_false_aggressors_sound () =
-  (* every coupling classified false really contributes zero noise *)
-  let nl = Option.get (B.by_name "i1") in
-  let _, w = windows_of nl in
-  let c = Fa.classify ~margin:0. ~windows:w nl in
-  List.iter
-    (fun d ->
-      let noise =
-        Tka_noise.Victim_noise.delay_noise nl ~windows:w
-          ~victim:d.CN.dc_victim [ d ]
-      in
-      Alcotest.(check (float 1e-9)) "false means zero" 0. noise)
-    c.Fa.fa_false
-
-let test_false_aggressors_near_pairs_true () =
-  (* adjacent same-timing chains: couplings are live *)
-  let nl = two_chains ~stages:2 ~coupling:0.004 in
-  let _, w = windows_of nl in
-  let c = Fa.classify ~windows:w nl in
-  Alcotest.(check bool) "some true aggressors" true (List.length c.Fa.fa_true > 0)
-
-(* ------------------------------------------------------------------ *)
 (* Monte-Carlo alignment sampling                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -640,13 +565,6 @@ let () =
           Alcotest.test_case "saturation" `Quick test_saturation_cap;
           Alcotest.test_case "dominance interval" `Quick test_dominance_interval_anchored;
         ] );
-      ( "false_aggressors",
-        [
-          Alcotest.test_case "detects far-apart" `Quick test_false_aggressor_detected;
-          Alcotest.test_case "sound on i1" `Quick test_false_aggressors_sound;
-          Alcotest.test_case "near pairs stay true" `Quick
-            test_false_aggressors_near_pairs_true;
-        ] );
       ( "monte_carlo",
         [
           Alcotest.test_case "under bound" `Quick test_monte_carlo_under_bound;
@@ -678,8 +596,6 @@ let () =
           Alcotest.test_case "no couplings" `Quick test_iterate_no_couplings;
           Alcotest.test_case "adds noise" `Quick test_iterate_adds_noise;
           Alcotest.test_case "subset bounded" `Quick test_iterate_subset_bounded_by_full;
-          Alcotest.test_case "all-overlap start" `Quick
-            test_iterate_all_overlap_start_agrees;
           Alcotest.test_case "net noise nonneg" `Quick test_iterate_net_noise_nonneg;
           Alcotest.test_case "indirect aggressors (Fig 1)" `Quick
             test_indirect_aggressors_increase_noise;

@@ -701,13 +701,21 @@ let engine_qcheck =
     Test.make ~name:"evaluate_curve is monotone" ~count:8 (int_range 1 1000)
       (fun seed ->
         let topo = random_topo seed in
-        let add = Addition.compute ~k:4 topo in
-        let curve = Addition.evaluate_curve add ~ks:[ 1; 2; 3; 4 ] in
-        let rec nondec = function
-          | (_, _, a) :: ((_, _, b) :: _ as tl) -> a <= b +. 1e-9 && nondec tl
+        let ks = [ 1; 2; 3; 4 ] in
+        let rec ordered le = function
+          | (_, _, a) :: ((_, _, b) :: _ as tl) -> le a b && ordered le tl
           | [ _ ] | [] -> true
         in
-        nondec curve);
+        (* Non-decreasing for addition; non-increasing for elimination
+           up to the fixpoint's 1e-4 ns convergence tolerance: a
+           superset's run can stop at a different pass, and seeds 498,
+           617 and 644 rise by up to 6.5e-7 ns. *)
+        ordered
+          (fun a b -> a <= b +. 1e-9)
+          (Addition.evaluate_curve (Addition.compute ~k:4 topo) ~ks)
+        && ordered
+             (fun a b -> b <= a +. 1e-4)
+             (Elimination.evaluate_curve (Elimination.compute ~k:4 topo) ~ks));
   ]
 
 (* ------------------------------------------------------------------ *)
