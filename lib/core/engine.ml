@@ -89,661 +89,636 @@ let eps = 1e-9
 
 let mode_name = function Addition -> "addition" | Elimination -> "elimination"
 
-let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
-  let t_start = Tka_obs.Clock.now_ns () in
+(* ---- Stage 1: prepare ---- *)
+
+(* What every stage of one run reads and the per-net slots the sweep
+   writes. Each victim writes only its own slots of [summaries],
+   [victim_stats] and [sinks]; nothing else is shared between the nets
+   of one level (see the safety argument in docs/parallelism.md). *)
+type run = {
+  topo : Topo.t;
+  nl : N.t;
+  mode : mode;
+  config : config;
+  fix : Iterate.t;
+  base_w : N.net_id -> TW.t;
+  noisy_w : N.net_id -> TW.t;
+  mode_w : N.net_id -> TW.t;
+  filt : Filter.t;
+  summaries : summary array;
+  victim_stats : Ilist.stats option array;
+  sinks : cardinality_summary option array;
+      (* a primary output's whole I-lists as pairs: sink selection
+         reads only sets and objectives *)
+  direct_memo : (int, summary * Ilist.stats) Hashtbl.t;
+      (* Memoised direct-only summaries of nets NOT upstream of the
+         victim requesting them. Shared across the sweep; the mutex only
+         guards table access — the enumeration itself runs outside it,
+         and a lost insertion race recomputes a value that is identical
+         by purity, so results stay deterministic at any jobs count.
+         The stats recorded by the winning insertion are folded into the
+         run totals at the end (in net-id order, also deterministic). *)
+  memo_mutex : Mutex.t;
+}
+
+let prepare ~config ~fixpoint ~mode topo =
   let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
-  let k = config.k in
   let fix = match fixpoint with Some f -> f | None -> Iterate.run topo in
-  let base = fix.Iterate.base in
-  let base_w = Analysis.window base in
+  let base_w = Analysis.window fix.Iterate.base in
   let noisy_w = Analysis.window fix.Iterate.analysis in
   let mode_w = match mode with Addition -> base_w | Elimination -> noisy_w in
-  (* Candidate pruning: prepared once per run against the same window
-     accessor the envelopes below are built from, then consulted per
-     victim. Pure and immutable, so sharing it across domains is safe. *)
-  let filt = Filter.prepare ~mode:config.filter ~windows:mode_w topo in
-  let base_lat v = (base_w v).TW.lat in
-  let noisy_lat v = (noisy_w v).TW.lat in
-  let stats = Ilist.fresh_stats () in
-  let summaries : summary array = Array.make nn [||] in
-  (* Memoised direct-only summaries of nets NOT upstream of the victim
-     requesting them. Shared across the sweep; the mutex only guards
-     table access — the enumeration itself runs outside it, and a lost
-     insertion race recomputes a value that is identical by purity, so
-     results stay deterministic at any jobs count. The stats recorded
-     by the winning insertion are folded into the run totals at the end
-     (in net-id order, also deterministic). *)
   (* Pre-sized to the net count (capped: a 1M-net design does not need
      a quarter-million buckets up front) so the sweep never pays a
      rehash-and-copy of a large table mid-run. *)
   let direct_memo_size = max 64 (min 65536 (nn / 4)) in
-  let direct_memo : (int, summary * Ilist.stats) Hashtbl.t =
-    Hashtbl.create direct_memo_size
-  in
   Log.debug log_src (fun m ->
       m "direct memo pre-sized" ~fields:[ Log.int "initial_size" direct_memo_size ]);
-  let memo_mutex = Mutex.create () in
+  {
+    topo; nl; mode; config; fix; base_w; noisy_w; mode_w;
+    (* Candidate pruning: prepared once per run against the same window
+       accessor the envelopes below are built from, then consulted per
+       victim. Pure and immutable, so sharing it across domains is safe. *)
+    filt = Filter.prepare ~mode:config.filter ~windows:mode_w topo;
+    summaries = Array.make nn [||];
+    victim_stats = Array.make nn None;
+    sinks = Array.make nn None;
+    direct_memo = Hashtbl.create direct_memo_size;
+    memo_mutex = Mutex.create ();
+  }
 
-  (* The victim's latest transition, anchored at the noiseless arrival:
-     objectives measure noise added to / removed from the noiseless
-     timing. *)
-  let victim_tr v =
-    Transition.make ~t50:(base_lat v) ~slew:(mode_w v).TW.slew_late ()
-  in
+let base_lat r v = (r.base_w v).TW.lat
+let noisy_lat r v = (r.noisy_w v).TW.lat
 
-  (* Upstream component of the fixpoint shift at [v] (elimination). *)
-  let upstream_shift v =
-    Float.max 0. (noisy_lat v -. base_lat v -. Iterate.net_noise fix v)
-  in
+(* Upstream component of the fixpoint shift at [v] (elimination). *)
+let upstream_shift r v =
+  Float.max 0. (noisy_lat r v -. base_lat r v -. Iterate.net_noise r.fix v)
 
-  (* --------------------------------------------------------------- *)
-  (* Per-victim enumeration                                          *)
-  (* --------------------------------------------------------------- *)
-  let summary_of_ilists upto (ilists : Ilist.entry list array) : summary =
-    Array.init (upto + 1) (fun i ->
-        if i = 0 then [ (Coupling_set.empty, 0.) ]
-        else
-          ilists.(i)
-          |> List.filteri (fun j _ -> j < summaries_per_cardinality)
-          |> List.map (fun (e : Ilist.entry) ->
-                 (e.Ilist.couplings, e.Ilist.objective)))
-  in
+(* ---- Stage 2: per-victim primaries ---- *)
 
-  let rec enumerate ~on_direct ~stats ~use_pseudo ~use_higher ~upto ~level v :
-      Ilist.entry list array =
-    (* Pre-engine screening: drops candidates the filter proves inert
-       before any envelope is built (the whole point — with filtering
-       off, [screen] returns the input list physically unchanged and a
-       constant 1.0 factor, leaving this path bit-identical). *)
-    let all_primaries, derate_of =
-      Filter.screen filt (CN.aggressors_of_victim nl v)
-    in
-    let victim = victim_tr v in
-    let interval = Dominance.interval ~victim in
-    let prim_env_tbl = Hashtbl.create (max 16 (List.length all_primaries)) in
-    let prim_env (d : CN.directed) =
-      match Hashtbl.find_opt prim_env_tbl (CN.directed_id d) with
-      | Some e -> e
-      | None ->
-        let e = EB.of_directed nl ~windows:mode_w d in
-        let e =
-          match derate_of (CN.directed_id d) with
-          | 1. -> e
-          | f -> Envelope.scale f e
-        in
-        Hashtbl.replace prim_env_tbl (CN.directed_id d) e;
-        e
-    in
-    (* A primary whose envelope is zero everywhere on the dominance
-       interval cannot change any candidate's objective (the saturated
-       crossing never leaves the interval), so it is inert at this
-       victim — on dense circuits most couplings are inert for most
-       victims, and dropping them up front shrinks every later step.
-       For the elimination objective the interval test is the same: the
-       removed envelope only matters where the crossing can sit. *)
-    let primaries =
-      List.filter
-        (fun d ->
-          Pwl.max_on interval (Envelope.waveform (prim_env d)) > eps)
-        all_primaries
-    in
-    (* Elimination reference: the total envelope of everything attacking
-       this victim (direct + propagated), and the noise it causes. *)
+(* One victim's live primaries and what every candidate source needs
+   to turn an envelope into an I-list entry. *)
+type victim = {
+  v : N.net_id;
+  tr : Transition.t;
+      (* the victim's latest transition, anchored at the noiseless
+         arrival: objectives measure noise added to / removed from the
+         noiseless timing *)
+  interval : Tka_util.Interval.t;  (* dominance interval *)
+  prims : CN.directed array;  (* live primaries, in screening order *)
+  env : CN.directed -> Envelope.t;  (* de-rated primary envelope, memoised *)
+  derate : CN.directed -> Envelope.t -> Envelope.t;
+  objective : Envelope.t -> float;
+}
+
+(* De-rate an envelope built for [d] by the filter's factor, keeping
+   rebuilt (higher-order) envelopes consistent with the primary ones
+   (1.0 — the common case — is the identity). *)
+let derated derate_of (d : CN.directed) e =
+  match derate_of (CN.directed_id d) with 1. -> e | f -> Envelope.scale f e
+
+(* The objective of a candidate envelope at the victim: the delay noise
+   it adds (addition), or the part of the total noise — everything
+   attacking the victim, direct and propagated — that removing it
+   recovers (elimination). The elimination objective is one pass:
+   (ramp − total envelope) is precomputed once, and the remaining noise
+   after removing env is the crossing of that floor plus env. *)
+let objective r v ~(victim : Transition.t) direct_env =
+  match r.mode with
+  | Addition -> VN.delay_noise_of_envelope ~victim
+  | Elimination ->
     let total_env =
       lazy
-        (let direct = Envelope.combine (List.map prim_env primaries) in
-         match mode with
-         | Addition -> direct
-         | Elimination ->
-           Envelope.add direct
-             (Pseudo.envelope ~victim ~shift:(upstream_shift v)))
+        (Envelope.add (Lazy.force direct_env)
+           (Pseudo.envelope ~victim ~shift:(upstream_shift r v)))
     in
     let total_noise =
       lazy (VN.delay_noise_of_envelope ~victim (Lazy.force total_env))
     in
-    (* one-pass elimination objective: precompute (ramp - total envelope)
-       once; the remaining noise after removing env is the crossing of
-       that floor plus env *)
     let noisy_floor =
       lazy
         (Pwl.sub (Transition.waveform victim)
            (Envelope.waveform (Lazy.force total_env)))
     in
-    let objective env =
-      match mode with
-      | Addition -> VN.delay_noise_of_envelope ~victim env
-      | Elimination ->
-        let restored = Pwl.add (Lazy.force noisy_floor) (Envelope.waveform env) in
-        let remaining_noise =
-          match Pwl.last_upcrossing restored 0.5 with
-          | None -> 0.
-          | Some t ->
-            Float.min
-              (Float.max 0. (t -. victim.Transition.t50))
-              (VN.saturation_slews *. victim.Transition.slew)
-        in
-        Lazy.force total_noise -. remaining_noise
-    in
-    let entry set env =
-      { Ilist.couplings = set; envelope = env; objective = objective env }
-    in
-    (* Extension rule (Theorem 1): extending a set S with primary d is
-       redundant when some primary d' NOT in S strictly dominates d —
-       S ∪ {d'} dominates S ∪ {d}. So each primary carries its list of
-       strict dominators (ties broken by id so equal envelopes do not
-       eliminate each other), and is allowed as an extension of S only
-       when all of them already belong to S. Non-dominated primaries
-       are always allowed. *)
-    let prim_arr = Array.of_list primaries in
-    let np = Array.length prim_arr in
-    (* Interned primary universe: each live primary gets a dense index
-       into [prim_arr]; dominator sets and entry membership then live in
-       bitsets over [0, np), so the extension filter below is a handful
-       of word ands instead of id-list scans per (entry, primary) pair. *)
-    let idx_of_id = Hashtbl.create (max 16 np) in
+    fun env ->
+      let restored = Pwl.add (Lazy.force noisy_floor) (Envelope.waveform env) in
+      let remaining_noise =
+        match Pwl.last_upcrossing restored 0.5 with
+        | None -> 0.
+        | Some t ->
+          Float.min
+            (Float.max 0. (t -. victim.Transition.t50))
+            (VN.saturation_slews *. victim.Transition.slew)
+      in
+      Lazy.force total_noise -. remaining_noise
+
+let primaries r v =
+  (* Pre-engine screening: drops candidates the filter proves inert
+     before any envelope is built (the whole point — with filtering
+     off, [screen] returns the input list physically unchanged and a
+     constant 1.0 factor, leaving this path bit-identical). *)
+  let all_primaries, derate_of =
+    Filter.screen r.filt (CN.aggressors_of_victim r.nl v)
+  in
+  let tr = Transition.make ~t50:(base_lat r v) ~slew:(r.mode_w v).TW.slew_late () in
+  let interval = Dominance.interval ~victim:tr in
+  let tbl = Hashtbl.create (max 16 (List.length all_primaries)) in
+  let env (d : CN.directed) =
+    match Hashtbl.find_opt tbl (CN.directed_id d) with
+    | Some e -> e
+    | None ->
+      let e = derated derate_of d (EB.of_directed r.nl ~windows:r.mode_w d) in
+      Hashtbl.replace tbl (CN.directed_id d) e;
+      e
+  in
+  (* A primary whose envelope is zero everywhere on the dominance
+     interval cannot change any candidate's objective (the saturated
+     crossing never leaves the interval), so it is inert at this
+     victim — on dense circuits most couplings are inert for most
+     victims, and dropping them up front shrinks every later step.
+     For the elimination objective the interval test is the same: the
+     removed envelope only matters where the crossing can sit. *)
+  let live =
+    List.filter
+      (fun d -> Pwl.max_on interval (Envelope.waveform (env d)) > eps)
+      all_primaries
+  in
+  {
+    v;
+    tr;
+    interval;
+    prims = Array.of_list live;
+    env;
+    derate = derated derate_of;
+    objective =
+      objective r v ~victim:tr (lazy (Envelope.combine (List.map env live)));
+  }
+
+let entry pv set env =
+  { Ilist.couplings = set; envelope = env; objective = pv.objective env }
+
+(* ---- Stage 3: dominance masks and the strong set ---- *)
+
+(* Extension rule (Theorem 1): extending a set S with primary d is
+   redundant when some primary d' NOT in S strictly dominates d —
+   S ∪ {d'} dominates S ∪ {d}. So each primary carries its set of
+   strict dominators (ties broken by id so equal envelopes do not
+   eliminate each other), and is allowed as an extension of S only
+   when all of them already belong to S. Non-dominated primaries
+   are always allowed. Returns the extension candidates of an entry. *)
+let extensions pv =
+  let np = Array.length pv.prims in
+  (* Interned primary universe: each live primary gets a dense index
+     into [prims]; dominator sets and entry membership then live in
+     bitsets over [0, np), so the extension filter below is a handful
+     of word ands instead of id-list scans per (entry, primary) pair. *)
+  let idx_of_id = Hashtbl.create (max 16 np) in
+  Array.iteri
+    (fun idx (d : CN.directed) -> Hashtbl.replace idx_of_id (CN.directed_id d) idx)
+    pv.prims;
+  let dom_mask =
+    Array.mapi
+      (fun i (d : CN.directed) ->
+        let mask = Tka_util.Bitset.make np in
+        let ed = pv.env d in
+        Array.iteri
+          (fun i' (d' : CN.directed) ->
+            if i' <> i then begin
+              let ed' = pv.env d' in
+              let fwd = Dominance.dominates ~interval:pv.interval ed' ed in
+              let bwd = Dominance.dominates ~interval:pv.interval ed ed' in
+              if fwd && ((not bwd) || CN.directed_id d' < CN.directed_id d)
+              then Tka_util.Bitset.set mask i'
+            end)
+          pv.prims;
+        mask)
+      pv.prims
+  in
+  (* extension fan-out bound: only the strongest primaries (by
+     singleton objective) plus any primary whose dominators are all in
+     the set already (the stacking case) are tried *)
+  let strong = Array.make (max 1 np) false in
+  let scored =
+    Array.mapi
+      (fun idx d -> (idx, VN.delay_noise_of_envelope ~victim:pv.tr (pv.env d)))
+      pv.prims
+  in
+  Array.sort (fun (_, a) (_, b) -> Float.compare b a) scored;
+  Array.iteri (fun rank (idx, _) -> if rank < 8 then strong.(idx) <- true) scored;
+  (* One scratch membership mask, reloaded per entry: set-bit per
+     primary member of the entry's coupling set (pseudo/higher ids have
+     no primary index and cannot dominate). *)
+  let entry_mask = Tka_util.Bitset.make np in
+  fun (e : Ilist.entry) ->
+    let out = ref [] in
+    Tka_util.Bitset.clear entry_mask;
+    Coupling_set.iter
+      (fun id ->
+        match Hashtbl.find_opt idx_of_id id with
+        | Some idx -> Tka_util.Bitset.set entry_mask idx
+        | None -> ())
+      e.Ilist.couplings;
     Array.iteri
       (fun idx (d : CN.directed) ->
-        Hashtbl.replace idx_of_id (CN.directed_id d) idx)
-      prim_arr;
-    let dom_mask =
-      Array.mapi
-        (fun i (d : CN.directed) ->
-          let mask = Tka_util.Bitset.make np in
-          let ed = prim_env d in
-          Array.iteri
-            (fun i' (d' : CN.directed) ->
-              if i' <> i then begin
-                let ed' = prim_env d' in
-                let fwd = Dominance.dominates ~interval ed' ed in
-                let bwd = Dominance.dominates ~interval ed ed' in
-                if fwd && ((not bwd) || CN.directed_id d' < CN.directed_id d)
-                then Tka_util.Bitset.set mask i'
-              end)
-            prim_arr;
-          mask)
-        prim_arr
-    in
-    (* extension fan-out bound: only the strongest primaries (by
-       singleton objective) plus any primary whose dominators are all in
-       the set already (the stacking case) are tried *)
-    let strong = Array.make (max 1 np) false in
-    let () =
-      let scored =
-        Array.mapi
-          (fun idx d -> (idx, VN.delay_noise_of_envelope ~victim (prim_env d)))
-          prim_arr
-      in
-      Array.sort (fun (_, a) (_, b) -> Float.compare b a) scored;
-      Array.iteri
-        (fun rank (idx, _) -> if rank < 8 then strong.(idx) <- true)
-        scored
-    in
-    (* One scratch membership mask, reloaded per entry in the extension
-       scan: set-bit per primary member of the entry's coupling set
-       (pseudo/higher ids have no primary index and cannot dominate). *)
-    let entry_mask = Tka_util.Bitset.make np in
-    let load_entry_mask set =
-      Tka_util.Bitset.clear entry_mask;
-      Coupling_set.iter
-        (fun id ->
-          match Hashtbl.find_opt idx_of_id id with
-          | Some idx -> Tka_util.Bitset.set entry_mask idx
-          | None -> ())
-        set
-    in
-    let allowed_extension (idx : int) =
-      (strong.(idx) || Tka_util.Bitset.intersects dom_mask.(idx) entry_mask)
-      && Tka_util.Bitset.subset dom_mask.(idx) entry_mask
-    in
-    let ilists = Array.make (upto + 1) [] in
-    ilists.(0) <-
-      [ { Ilist.couplings = Coupling_set.empty; envelope = Envelope.zero; objective = 0. } ];
-    (* Pseudo candidates of a given cardinality, one per driver input. *)
-    let pseudo_candidates i =
-      if not use_pseudo then []
-      else
-        match N.driver_gate nl v with
-        | None -> []
-        | Some g ->
-          let delay = Tka_sta.Delay_calc.stage_delay nl g.N.gate_id in
-          List.concat_map
-            (fun (_, u) ->
-              let sums =
-                if Array.length summaries.(u) > i then summaries.(u).(i) else []
-              in
-              List.filter_map
-                (fun (set, du) ->
-                  if du <= eps then None
-                  else
-                    match mode with
-                    | Addition ->
-                      let slack = base_lat v -. (base_lat u +. delay) in
-                      let shift = Float.max 0. (du -. Float.max 0. slack) in
-                      if shift <= eps then None
-                      else Some (entry set (Pseudo.envelope ~victim ~shift))
-                    | Elimination ->
-                      let p_v = upstream_shift v in
-                      let slack = noisy_lat v -. (noisy_lat u +. delay) in
-                      let reduction =
-                        Float.max 0. (Float.min p_v (du -. Float.max 0. slack))
-                      in
-                      if reduction <= eps then None
-                      else
-                        Some
-                          (entry set
-                             (Pseudo.reduction_envelope ~victim ~total:p_v
-                                ~removed:reduction)))
-                sums)
-            g.N.fanin
-    in
-    (* Higher-order candidates of innate cardinality i: primary d whose
-       window is altered by the best (i-1)-set attacking the aggressor
-       net itself. *)
-    (* higher-order construction is the most expensive candidate source
-       (each needs a fresh widened-envelope build): restrict it to the
-       strongest primaries and to the aggressor net's best summary *)
-    let higher_order_pool =
-      lazy
-        (List.stable_sort
-           (fun a b ->
-             Float.compare (Envelope.peak (prim_env b)) (Envelope.peak (prim_env a)))
-           primaries
-        |> List.filteri (fun j _ -> j < 8))
-    in
-    let higher_candidates i =
-      if (not use_higher) || i < 2 then []
-      else
-        List.concat_map
-          (fun (d : CN.directed) ->
-            let a = d.CN.dc_aggressor in
-            let s = summary_of_aggressor ~on_direct ~level a in
-            let t = i - 1 in
-            let sums =
-              match (if Array.length s > t then s.(t) else []) with
-              | best :: _ -> [ best ]
-              | [] -> []
-            in
-            List.filter_map
-              (fun (set_t, delta) ->
-                if delta <= eps || Coupling_set.mem (CN.directed_id d) set_t then
-                  None
+        let id = CN.directed_id d in
+        if
+          (not (Coupling_set.mem id e.Ilist.couplings))
+          && (strong.(idx) || Tka_util.Bitset.intersects dom_mask.(idx) entry_mask)
+          && Tka_util.Bitset.subset dom_mask.(idx) entry_mask
+        then
+          out :=
+            entry pv
+              (Coupling_set.add id e.Ilist.couplings)
+              (Envelope.add e.Ilist.envelope (pv.env d))
+            :: !out)
+      pv.prims;
+    !out
+
+(* ---- Stage 4: pseudo and higher-order candidate sources ---- *)
+
+(* The retained pairs of summary [s] at cardinality [i]; [] past its end. *)
+let at (s : summary) i = if Array.length s > i then s.(i) else []
+
+(* Pseudo candidates of cardinality [i], one per driver input and
+   retained input set. *)
+let pseudo_candidates r pv i =
+  match N.driver_gate r.nl pv.v with
+  | None -> []
+  | Some g ->
+    let delay = Tka_sta.Delay_calc.stage_delay r.nl g.N.gate_id in
+    let v = pv.v and victim = pv.tr in
+    List.concat_map
+      (fun (_, u) ->
+        List.filter_map
+          (fun (set, du) ->
+            if du <= eps then None
+            else
+              match r.mode with
+              | Addition ->
+                let slack = base_lat r v -. (base_lat r u +. delay) in
+                let shift = Float.max 0. (du -. Float.max 0. slack) in
+                if shift <= eps then None
+                else Some (entry pv set (Pseudo.envelope ~victim ~shift))
+              | Elimination ->
+                let p_v = upstream_shift r v in
+                let slack = noisy_lat r v -. (noisy_lat r u +. delay) in
+                let reduction =
+                  Float.max 0. (Float.min p_v (du -. Float.max 0. slack))
+                in
+                if reduction <= eps then None
                 else
-                  let combo = Coupling_set.add (CN.directed_id d) set_t in
-                  if Coupling_set.cardinality combo <> i then None
-                  else
-                    (* De-rate the rebuilt envelopes by the primary's
-                       factor, keeping them consistent with [prim_env]
-                       (1.0 — the common case — is the identity). *)
-                    let derate e =
-                      match derate_of (CN.directed_id d) with
-                      | 1. -> e
-                      | f -> Envelope.scale f e
-                    in
-                    match mode with
-                    | Addition ->
-                      Some
-                        (entry combo
-                           (derate
-                              (EB.of_directed_widened nl ~windows:mode_w
-                                 ~extra_lat:delta d)))
-                    | Elimination ->
-                      (* removing the combo shrinks the aggressor window:
-                         the envelope that disappears is (full − narrowed) *)
-                      let w = mode_w a in
-                      let lat' = Float.max w.TW.eat (w.TW.lat -. delta) in
-                      let narrowed =
-                        derate
-                          (EB.with_window nl ~window:{ w with TW.lat = lat' } d)
-                      in
-                      let gone =
-                        Envelope.of_waveform
-                          (Pwl.sub
-                             (Envelope.waveform (prim_env d))
-                             (Envelope.waveform narrowed))
-                      in
-                      Some (entry combo gone))
-              sums)
-          (Lazy.force higher_order_pool)
-    in
-    (* deep in the sweep candidates differ marginally; tapering the
-       list capacity there keeps the k-sweep near-linear without
-       touching the small-k region the validation checks *)
-    let capacity_at i =
-      if i <= 20 then config.capacity
-      else max 8 (config.capacity - ((i - 20) / 4))
-    in
-    for i = 1 to upto do
-      let extensions =
-        List.concat_map
-          (fun (e : Ilist.entry) ->
-            let out = ref [] in
-            load_entry_mask e.Ilist.couplings;
-            Array.iteri
-              (fun idx (d : CN.directed) ->
-                let id = CN.directed_id d in
-                if
-                  (not (Coupling_set.mem id e.Ilist.couplings))
-                  && allowed_extension idx
-                then
-                  out :=
-                    entry
-                      (Coupling_set.add id e.Ilist.couplings)
-                      (Envelope.add e.Ilist.envelope (prim_env d))
-                    :: !out)
-              prim_arr;
-            !out)
-          ilists.(i - 1)
-      in
-      let cands = extensions @ pseudo_candidates i @ higher_candidates i in
-      ilists.(i) <- Ilist.prune ~capacity:(capacity_at i) ~interval ~stats cands
-    done;
+                  Some
+                    (entry pv set
+                       (Pseudo.reduction_envelope ~victim ~total:p_v
+                          ~removed:reduction)))
+          (at r.summaries.(u) i))
+      g.N.fanin
+
+(* Higher-order construction is the most expensive candidate source
+   (each needs a fresh widened-envelope build): restrict it to the
+   strongest primaries and to the aggressor net's best summary. *)
+let higher_order_pool pv =
+  List.stable_sort
+    (fun a b -> Float.compare (Envelope.peak (pv.env b)) (Envelope.peak (pv.env a)))
+    (Array.to_list pv.prims)
+  |> List.filteri (fun j _ -> j < 8)
+
+(* Higher-order candidates of innate cardinality [i]: primary d whose
+   window is altered by the best (i-1)-set attacking the aggressor net
+   itself ([summary_of]). *)
+let higher_candidates r pv ~summary_of ~pool i =
+  if i < 2 then []
+  else
+    List.concat_map
+      (fun (d : CN.directed) ->
+        let a = d.CN.dc_aggressor and id = CN.directed_id d in
+        match at (summary_of a) (i - 1) with
+        | (set_t, delta) :: _ when not (delta <= eps || Coupling_set.mem id set_t) ->
+          let combo = Coupling_set.add id set_t in
+          if Coupling_set.cardinality combo <> i then []
+          else
+            [
+              entry pv combo
+                (match r.mode with
+                | Addition ->
+                  pv.derate d
+                    (EB.of_directed_widened r.nl ~windows:r.mode_w ~extra_lat:delta d)
+                | Elimination ->
+                  (* removing the combo shrinks the aggressor window:
+                     the envelope that disappears is (full − narrowed) *)
+                  let w = r.mode_w a in
+                  let lat' = Float.max w.TW.eat (w.TW.lat -. delta) in
+                  let narrowed =
+                    pv.derate d (EB.with_window r.nl ~window:{ w with TW.lat = lat' } d)
+                  in
+                  Envelope.of_waveform
+                    (Pwl.sub (Envelope.waveform (pv.env d)) (Envelope.waveform narrowed)));
+            ]
+        | _ -> [])
+      (Lazy.force pool)
+
+(* ---- Stage 5: enumeration (the I-list prune loop) ---- *)
+
+(* deep in the sweep candidates differ marginally; tapering the list
+   capacity there keeps the k-sweep near-linear without touching the
+   small-k region the validation checks *)
+let capacity_at config i =
+  if i <= 20 then config.capacity else max 8 (config.capacity - ((i - 20) / 4))
+
+(* The (set, objective) pairs of each I-list, at most [keep] per
+   cardinality: the one conversion from enumerated entries to what a
+   net publishes (a summary) or a sink retains (all of them). *)
+let pairs ?keep (ilists : Ilist.entry list array) : cardinality_summary =
+  let pair (e : Ilist.entry) = (e.Ilist.couplings, e.Ilist.objective) in
+  Array.map
+    (fun l ->
+      List.map pair
+        (match keep with None -> l | Some n -> List.filteri (fun j _ -> j < n) l))
     ilists
 
-  (* Best sets attacking an aggressor net: the full summary when the
-     net lies at a strictly lower level than the requesting victim (it
-     is then guaranteed published, both in the sequential sweep and at
-     a level barrier of the parallel one), otherwise a memoised
-     direct-aggressors-only enumeration. The rule depends only on
-     levels — not on how far the sweep has progressed — so every jobs
-     count makes identical decisions. *)
-  and summary_of_aggressor ~on_direct ~level a : summary =
-    if Topo.net_level topo a < level && Array.length summaries.(a) > 0 then
-      summaries.(a)
-    else begin
-      Mutex.lock memo_mutex;
-      let hit = Hashtbl.find_opt direct_memo a in
-      Mutex.unlock memo_mutex;
-      let s, st =
-        match hit with
-        | Some e -> e
-        | None ->
-          let upto = max 0 (k - 1) in
-          let st = Ilist.fresh_stats () in
-          let ilists =
-            enumerate
-              ~on_direct:(fun _ _ _ -> ())
-              ~stats:st ~use_pseudo:false ~use_higher:false ~upto
-              ~level:(Topo.net_level topo a) a
-          in
-          let s = summary_of_ilists upto ilists in
-          Mutex.lock memo_mutex;
-          let e =
-            match Hashtbl.find_opt direct_memo a with
+let rec enumerate r ~on_direct ~stats ~use_pseudo ~use_higher ~upto ~level v =
+  let pv = primaries r v in
+  let extend = extensions pv in
+  let pool = lazy (higher_order_pool pv) in
+  let summary_of = summary_of_aggressor r ~on_direct ~level in
+  let ilists = Array.make (upto + 1) [] in
+  ilists.(0) <-
+    [ { Ilist.couplings = Coupling_set.empty; envelope = Envelope.zero; objective = 0. } ];
+  for i = 1 to upto do
+    let cands =
+      List.concat_map extend ilists.(i - 1)
+      @ (if use_pseudo then pseudo_candidates r pv i else [])
+      @ if use_higher then higher_candidates r pv ~summary_of ~pool i else []
+    in
+    ilists.(i) <-
+      Ilist.prune ~capacity:(capacity_at r.config i) ~interval:pv.interval ~stats cands
+  done;
+  ilists
+
+(* Best sets attacking an aggressor net: the full summary when the net
+   lies at a strictly lower level than the requesting victim (it is
+   then guaranteed published, both in the sequential sweep and at a
+   level barrier of the parallel one), otherwise a memoised
+   direct-aggressors-only enumeration. The rule depends only on
+   levels — not on how far the sweep has progressed — so every jobs
+   count makes identical decisions. *)
+and summary_of_aggressor r ~on_direct ~level a : summary =
+  if Topo.net_level r.topo a < level && Array.length r.summaries.(a) > 0 then
+    r.summaries.(a)
+  else begin
+    let memo f = Mutex.protect r.memo_mutex f in
+    let s, st =
+      match memo (fun () -> Hashtbl.find_opt r.direct_memo a) with
+      | Some e -> e
+      | None ->
+        let st = Ilist.fresh_stats () in
+        let ilists =
+          enumerate r
+            ~on_direct:(fun _ _ _ -> ())
+            ~stats:st ~use_pseudo:false ~use_higher:false
+            ~upto:(max 0 (r.config.k - 1))
+            ~level:(Topo.net_level r.topo a) a
+        in
+        let e = (pairs ~keep:summaries_per_cardinality ilists, st) in
+        memo (fun () ->
+            match Hashtbl.find_opt r.direct_memo a with
             | Some e -> e
             | None ->
-              Hashtbl.replace direct_memo a (s, st);
-              (s, st)
-          in
-          Mutex.unlock memo_mutex;
-          e
-      in
-      on_direct a s st;
-      s
-    end
-  in
+              Hashtbl.replace r.direct_memo a e;
+              e)
+    in
+    on_direct a s st;
+    s
+  end
 
-  (* --------------------------------------------------------------- *)
-  (* Topological sweep                                               *)
-  (* --------------------------------------------------------------- *)
-  (* Each victim writes only its own slots; nothing else is shared
-     between the nets of one level (see the safety argument in
-     docs/parallelism.md). *)
-  let victim_stats : Ilist.stats option array = Array.make nn None in
-  let out_ilists : Ilist.entry list array option array = Array.make nn None in
-  (* A cached record replaces the whole per-victim unit of work. The
-     consulted direct summaries are replayed into the shared memo so
-     the memo key set — and therefore the merged stats — match a
-     from-scratch run exactly (the values are identical by purity: a
-     valid cache hit implies the aggressor's inputs are unchanged). *)
-  let install_cached v (cv : cached_victim) =
-    summaries.(v) <- cv.cv_summary;
-    victim_stats.(v) <- Some cv.cv_stats;
-    List.iter
-      (fun (a, s, st) ->
-        Mutex.lock memo_mutex;
-        if not (Hashtbl.mem direct_memo a) then
-          Hashtbl.replace direct_memo a (s, st);
-        Mutex.unlock memo_mutex)
-      cv.cv_direct;
-    match cv.cv_out with
-    | None -> ()
-    | Some out ->
-      out_ilists.(v) <-
-        Some
-          (Array.map
-             (List.map (fun (set, obj) ->
-                  {
-                    Ilist.couplings = set;
-                    envelope = Envelope.zero;
-                    objective = obj;
-                  }))
-             out)
-  in
-  (* Reject records that cannot have come from an equivalent run (a
-     provider bug or stale checkpoint): wrong cardinality range, or a
-     primary output without its sink lists. *)
-  let cached_valid v (cv : cached_victim) =
-    Array.length cv.cv_summary = k + 1
-    && (match cv.cv_out with
-       | Some out -> Array.length out = k + 1
-       | None -> not (N.net nl v).N.is_output)
-  in
-  let process v =
-    match
-      Option.bind victim_cache (fun c ->
-          (* lower levels are final here (the sweep is level-
-             synchronous), so the provider may hash their values *)
-          match c.vc_lookup ~summary_of:(fun u -> summaries.(u)) v with
-          | Some cv when cached_valid v cv -> Some cv
-          | Some _ | None -> None)
-    with
-    | Some cv -> install_cached v cv
-    | None ->
-      let st = Ilist.fresh_stats () in
-      let consulted = ref [] in
-      let on_direct a s dst =
-        if not (List.exists (fun (a', _, _) -> a' = a) !consulted) then
-          consulted := (a, s, dst) :: !consulted
-      in
-      let ilists =
-        enumerate ~on_direct ~stats:st ~use_pseudo:config.use_pseudo
-          ~use_higher:config.use_higher_order ~upto:k
-          ~level:(Topo.net_level topo v) v
-      in
-      summaries.(v) <- summary_of_ilists k ilists;
-      victim_stats.(v) <- Some st;
-      let is_out = (N.net nl v).N.is_output in
-      if is_out then out_ilists.(v) <- Some ilists;
-      (match victim_cache with
-      | None -> ()
-      | Some c ->
+(* ---- Stage 6: the topological sweep ---- *)
+
+(* A cached record replaces the whole per-victim unit of work. The
+   consulted direct summaries are replayed into the shared memo so the
+   memo key set — and therefore the merged stats — match a from-scratch
+   run exactly (the values are identical by purity: a valid cache hit
+   implies the aggressor's inputs are unchanged). *)
+let install_cached r v (cv : cached_victim) =
+  r.summaries.(v) <- cv.cv_summary;
+  r.victim_stats.(v) <- Some cv.cv_stats;
+  List.iter
+    (fun (a, s, st) ->
+      Mutex.protect r.memo_mutex (fun () ->
+          if not (Hashtbl.mem r.direct_memo a) then
+            Hashtbl.replace r.direct_memo a (s, st)))
+    cv.cv_direct;
+  r.sinks.(v) <- cv.cv_out
+
+(* Reject records that cannot have come from an equivalent run (a
+   provider bug or stale checkpoint): wrong cardinality range, or a
+   primary output without its sink lists. *)
+let cached_valid r v (cv : cached_victim) =
+  Array.length cv.cv_summary = r.config.k + 1
+  &&
+  match cv.cv_out with
+  | Some out -> Array.length out = r.config.k + 1
+  | None -> not (N.net r.nl v).N.is_output
+
+let process r ~victim_cache v =
+  match
+    Option.bind victim_cache (fun c ->
+        (* lower levels are final here (the sweep is level-
+           synchronous), so the provider may hash their values *)
+        match c.vc_lookup ~summary_of:(fun u -> r.summaries.(u)) v with
+        | Some cv when cached_valid r v cv -> Some cv
+        | Some _ | None -> None)
+  with
+  | Some cv -> install_cached r v cv
+  | None ->
+    let st = Ilist.fresh_stats () in
+    let consulted = ref [] in
+    let on_direct a s dst =
+      if not (List.exists (fun (a', _, _) -> a' = a) !consulted) then
+        consulted := (a, s, dst) :: !consulted
+    in
+    let ilists =
+      enumerate r ~on_direct ~stats:st ~use_pseudo:r.config.use_pseudo
+        ~use_higher:r.config.use_higher_order ~upto:r.config.k
+        ~level:(Topo.net_level r.topo v) v
+    in
+    r.summaries.(v) <- pairs ~keep:summaries_per_cardinality ilists;
+    r.victim_stats.(v) <- Some st;
+    if (N.net r.nl v).N.is_output then r.sinks.(v) <- Some (pairs ilists);
+    Option.iter
+      (fun c ->
         c.vc_store v
           {
-            cv_summary = summaries.(v);
-            cv_out =
-              (if is_out then
-                 Some
-                   (Array.map
-                      (List.map (fun (e : Ilist.entry) ->
-                           (e.Ilist.couplings, e.Ilist.objective)))
-                      ilists)
-               else None);
+            cv_summary = r.summaries.(v);
+            cv_out = r.sinks.(v);
             cv_stats = st;
             cv_direct = List.rev !consulted;
           })
-  in
-  let instrumented v =
-    (* observability disabled: no span, no histogram, no clock reads *)
-    if Trace.is_enabled () || Metrics.is_enabled () then begin
-      Metrics.Counter.incr m_victims;
-      let t0 = Tka_obs.Clock.now_ns () in
-      (* prune attribution is only known after processing, so it is
-         attached via the late-args hook *)
-      Trace.with_span_args ~cat:"engine"
-        ~args:[ ("net", Tka_obs.Jsonx.Str (N.net nl v).N.net_name) ]
-        "engine.victim"
-        (fun () ->
-          match victim_stats.(v) with
-          | None -> []
-          | Some st ->
-            [
-              ("candidates", Tka_obs.Jsonx.Int st.Ilist.candidates);
-              ("dominated", Tka_obs.Jsonx.Int st.Ilist.dominated);
-              ("duplicates", Tka_obs.Jsonx.Int st.Ilist.duplicates);
-              ("capped", Tka_obs.Jsonx.Int st.Ilist.capped);
-              ("checks", Tka_obs.Jsonx.Int st.Ilist.checks);
-            ])
-        (fun () -> process v);
-      Metrics.Histogram.observe h_victim_s (Tka_obs.Clock.seconds_since t0)
-    end
-    else process v
-  in
+      victim_cache
+
+let instrumented r ~victim_cache v =
+  (* observability disabled: no span, no histogram, no clock reads *)
+  if Trace.is_enabled () || Metrics.is_enabled () then begin
+    Metrics.Counter.incr m_victims;
+    let t0 = Tka_obs.Clock.now_ns () in
+    (* prune attribution is only known after processing, so it is
+       attached via the late-args hook *)
+    Trace.with_span_args ~cat:"engine"
+      ~args:[ ("net", Tka_obs.Jsonx.Str (N.net r.nl v).N.net_name) ]
+      "engine.victim"
+      (fun () ->
+        match r.victim_stats.(v) with
+        | None -> []
+        | Some st ->
+          [
+            ("candidates", Tka_obs.Jsonx.Int st.Ilist.candidates);
+            ("dominated", Tka_obs.Jsonx.Int st.Ilist.dominated);
+            ("duplicates", Tka_obs.Jsonx.Int st.Ilist.duplicates);
+            ("capped", Tka_obs.Jsonx.Int st.Ilist.capped);
+            ("checks", Tka_obs.Jsonx.Int st.Ilist.checks);
+          ])
+      (fun () -> process r ~victim_cache v);
+    Metrics.Histogram.observe h_victim_s (Tka_obs.Clock.seconds_since t0)
+  end
+  else process r ~victim_cache v
+
+let sweep r ~victim_cache =
+  let visit = instrumented r ~victim_cache in
   let pool = Tka_parallel.Pool.get_default () in
-  if Tka_parallel.Pool.size pool <= 1 then
-    Array.iter instrumented (Topo.net_order topo)
+  if Tka_parallel.Pool.size pool <= 1 then Array.iter visit (Topo.net_order r.topo)
   else begin
-    let shards = Topo.cone_shards topo in
+    let shards = Topo.cone_shards r.topo in
     if Array.length shards > 1 then
       (* Cone-sharded sweep: every net the enumeration of a victim can
          consult (coupled aggressors, driver fanin for pseudo, coupled
          nets for higher-order) lies in the victim's own shard, and a
          shard's nets run sequentially in net_order — so all reads see
          published summaries and every jobs count computes identical
-         per-victim inputs. Totals are merged in net order below, same
-         as the level-synchronous path. *)
-      Tka_parallel.Shard.run pool ~shards instrumented
+         per-victim inputs. Totals are merged in net order, same as the
+         level-synchronous path. *)
+      Tka_parallel.Shard.run pool ~shards visit
     else
       (* Level-synchronous sweep: a net only reads summaries of strictly
          lower levels, all published before its level starts (the pool
          call is the barrier between levels). *)
       Array.iter
-        (fun nets -> Tka_parallel.Pool.iter ~chunk:1 pool instrumented nets)
-        (Topo.level_nets topo)
-  end;
-  (* Deterministic totals: per-victim records merged in net order, then
-     the memoised direct enumerations in net-id order. All fields are
-     sums, so the totals equal the sequential single-record run. *)
+        (fun nets -> Tka_parallel.Pool.iter ~chunk:1 pool visit nets)
+        (Topo.level_nets r.topo)
+  end
+
+(* ---- Stage 7: stats merge ---- *)
+
+(* Deterministic totals: per-victim records merged in net order, then
+   the memoised direct enumerations in net-id order. All fields are
+   sums, so the totals equal the sequential single-record run. *)
+let total_stats r =
+  let stats = Ilist.fresh_stats () in
   Array.iter
-    (fun v ->
-      match victim_stats.(v) with
-      | Some st -> Ilist.merge_stats stats st
-      | None -> ())
-    (Topo.net_order topo);
-  Hashtbl.fold (fun a (_, st) acc -> (a, st) :: acc) direct_memo []
+    (fun v -> Option.iter (Ilist.merge_stats stats) r.victim_stats.(v))
+    (Topo.net_order r.topo);
+  Hashtbl.fold (fun a (_, st) acc -> (a, st) :: acc) r.direct_memo []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (_, st) -> Ilist.merge_stats stats st);
-  (* Prepending in net order reproduces the processing-order prepends of
-     the sequential sweep, keeping sink-selection tie-breaks unchanged. *)
-  let po_entries =
-    Array.fold_left
-      (fun acc v ->
-        match out_ilists.(v) with Some il -> (v, il) :: acc | None -> acc)
-      [] (Topo.net_order topo)
-  in
+  stats
 
-  (* --------------------------------------------------------------- *)
-  (* Sink selection                                                  *)
-  (* --------------------------------------------------------------- *)
-  let outputs = N.outputs nl in
-  (* For each cardinality, gather every entry of every primary output's
-     irredundant list (the paper reads the whole I-list_k of the sink),
-     score by the resulting circuit arrival, and keep the best few for
-     exact re-ranking by the caller. *)
-  let top =
-    Trace.with_span ~cat:"engine" "engine.sink_selection" @@ fun () ->
-    Array.init (k + 1) (fun i ->
-        if i = 0 then []
-        else begin
-          let score po obj =
-            match mode with
-            | Addition ->
-              List.fold_left
-                (fun acc q ->
-                  Float.max acc (base_lat q +. if q = po then obj else 0.))
-                Float.neg_infinity outputs
-            | Elimination ->
-              List.fold_left
-                (fun acc q ->
-                  Float.max acc (noisy_lat q -. if q = po then obj else 0.))
-                Float.neg_infinity outputs
-          in
-          let scored =
-            List.concat_map
-              (fun (po, ilists) ->
-                List.map
-                  (fun (e : Ilist.entry) ->
-                    ( score po e.Ilist.objective,
-                      {
-                        ch_set = e.Ilist.couplings;
-                        ch_objective = e.Ilist.objective;
-                        ch_sink = po;
-                      } ))
-                  ilists.(i))
-              po_entries
-          in
-          let sorted =
-            List.stable_sort
-              (fun (a, _) (b, _) ->
-                match mode with
-                | Addition -> Float.compare b a
-                | Elimination -> Float.compare a b)
-              scored
-          in
-          (* dedupe identical sets, keep the best few *)
-          let seen : unit Coupling_set.Tbl.t = Coupling_set.Tbl.create 16 in
-          List.filter_map
-            (fun (_, c) ->
-              if Coupling_set.Tbl.mem seen c.ch_set then None
-              else begin
-                Coupling_set.Tbl.replace seen c.ch_set ();
-                Some c
-              end)
-            sorted
-          |> List.filteri (fun j _ -> j < sink_candidates)
-        end)
+(* ---- Stage 8: sink selection with monotone padding ---- *)
+
+(* For each cardinality, gather every entry of every primary output's
+   irredundant list (the paper reads the whole I-list_k of the sink),
+   score by the resulting circuit arrival, and keep the best few for
+   exact re-ranking by the caller. *)
+let select_sinks r =
+  (* Prepending in net order reproduces the processing-order prepends of
+     the sequential sweep, keeping tie-breaks unchanged. *)
+  let sinks =
+    Array.fold_left
+      (fun acc v -> match r.sinks.(v) with Some s -> (v, s) :: acc | None -> acc)
+      [] (Topo.net_order r.topo)
   in
-  let per_k = Array.map (fun l -> match l with c :: _ -> Some c | [] -> None) top in
-  (* Monotone fix-up: a cardinality-i set can always contain the best
-     (i-1)-set plus one more coupling, so the achievable objective never
-     decreases with i. When a sink's irredundant list thins out (e.g. a
-     primary output with a single primary aggressor), pad the previous
-     choice with an arbitrary unused coupling instead of regressing. *)
-  let pad_with_any set =
-    let n = 2 * N.num_couplings nl in
-    let rec find c =
-      if c >= n then None
-      else if Coupling_set.mem c set then find (c + 1)
-      else Some (Coupling_set.add c set)
-    in
-    find 0
+  let outputs = N.outputs r.nl in
+  let arrival q delta =
+    match r.mode with
+    | Addition -> base_lat r q +. delta
+    | Elimination -> noisy_lat r q -. delta
   in
-  (match mode with
-  | Addition | Elimination ->
-    for i = 2 to k do
-      let prev = per_k.(i - 1) in
-      let keep_prev =
-        match (per_k.(i), prev) with
-        | _, None -> false
-        | None, Some _ -> true
-        | Some ci, Some cp -> ci.ch_objective < cp.ch_objective
-      in
-      if keep_prev then begin
-        let padded_choice =
-          Option.bind prev (fun cp ->
-              Option.map
-                (fun padded -> { cp with ch_set = padded })
-                (pad_with_any cp.ch_set))
+  let score po obj =
+    List.fold_left
+      (fun acc q -> Float.max acc (arrival q (if q = po then obj else 0.)))
+      Float.neg_infinity outputs
+  in
+  let better (a, _) (b, _) =
+    match r.mode with
+    | Addition -> Float.compare b a
+    | Elimination -> Float.compare a b
+  in
+  Array.init (r.config.k + 1) (fun i ->
+      if i = 0 then []
+      else begin
+        let scored =
+          List.concat_map
+            (fun (po, s) ->
+              List.map
+                (fun (set, obj) ->
+                  (score po obj, { ch_set = set; ch_objective = obj; ch_sink = po }))
+                s.(i))
+            sinks
         in
-        per_k.(i) <- padded_choice;
-        (match padded_choice with
-        | Some c -> top.(i) <- c :: top.(i)
-        | None -> ())
-      end
-    done);
+        (* dedupe identical sets, keep the best few *)
+        let seen : unit Coupling_set.Tbl.t = Coupling_set.Tbl.create 16 in
+        List.filter_map
+          (fun (_, c) ->
+            if Coupling_set.Tbl.mem seen c.ch_set then None
+            else begin
+              Coupling_set.Tbl.replace seen c.ch_set ();
+              Some c
+            end)
+          (List.stable_sort better scored)
+        |> List.filteri (fun j _ -> j < sink_candidates)
+      end)
+
+(* Monotone fix-up: a cardinality-i set can always contain the best
+   (i-1)-set plus one more coupling, so the achievable objective never
+   decreases with i. When a sink's irredundant list thins out (e.g. a
+   primary output with a single primary aggressor), pad the previous
+   choice with an arbitrary unused coupling instead of regressing. The
+   padded choice also heads [top.(i)]. Returns the per-k picks. *)
+let pad_monotone r (top : choice list array) =
+  let per_k = Array.map (function c :: _ -> Some c | [] -> None) top in
+  let universe = 2 * N.num_couplings r.nl in
+  for i = 2 to r.config.k do
+    match per_k.(i - 1) with
+    | Some cp
+      when match per_k.(i) with
+           | None -> true
+           | Some ci -> ci.ch_objective < cp.ch_objective ->
+      let padded =
+        Option.map
+          (fun set -> { cp with ch_set = set })
+          (Coupling_set.pad ~universe ~target:i cp.ch_set)
+      in
+      per_k.(i) <- padded;
+      Option.iter (fun c -> top.(i) <- c :: top.(i)) padded
+    | Some _ | None -> ()
+  done;
+  per_k
+
+let compute ?config ?fixpoint ?victim_cache ~mode topo =
+  let config = match config with Some c -> c | None -> default_config ~k:10 in
+  let k = config.k in
+  if k < 1 then invalid_arg "Engine.compute: k must be >= 1";
+  Trace.with_span ~cat:"engine"
+    ~args:[ ("mode", Tka_obs.Jsonx.Str (mode_name mode)); ("k", Tka_obs.Jsonx.Int k) ]
+    "engine.compute"
+  @@ fun () ->
+  let t_start = Tka_obs.Clock.now_ns () in
+  let r = prepare ~config ~fixpoint ~mode topo in
+  sweep r ~victim_cache;
+  let stats = total_stats r in
+  let top = Trace.with_span ~cat:"engine" "engine.sink_selection" (fun () -> select_sinks r) in
+  let per_k = pad_monotone r top in
   let res_runtime = Tka_obs.Clock.seconds_since t_start in
   Metrics.Counter.incr m_runs;
   Metrics.Gauge.set g_runtime res_runtime;
+  let nl = r.nl in
   Log.debug log_src (fun m ->
       m
         ~fields:
@@ -766,19 +741,10 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
     res_per_k = per_k;
     res_top = top;
     res_stats = stats;
-    res_noiseless_delay = Analysis.circuit_delay base;
-    res_noisy_delay = Iterate.circuit_delay fix;
+    res_noiseless_delay = Analysis.circuit_delay r.fix.Iterate.base;
+    res_noisy_delay = Iterate.circuit_delay r.fix;
     res_runtime;
   }
-
-let compute ?config ?fixpoint ?victim_cache ~mode topo =
-  let config = match config with Some c -> c | None -> default_config ~k:10 in
-  if config.k < 1 then invalid_arg "Engine.compute: k must be >= 1";
-  Trace.with_span ~cat:"engine"
-    ~args:
-      [ ("mode", Tka_obs.Jsonx.Str (mode_name mode)); ("k", Tka_obs.Jsonx.Int config.k) ]
-    "engine.compute"
-    (fun () -> compute_body ~config ~fixpoint ~victim_cache ~mode topo)
 
 let estimated_delay r i =
   if i < 0 || i >= Array.length r.res_per_k then

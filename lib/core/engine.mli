@@ -19,7 +19,9 @@
 
     Each net retains only a per-cardinality summary (best set and its
     objective); the full lists live only while their victim is being
-    processed, so memory stays linear in circuit size.
+    processed, so memory stays linear in circuit size. Primary outputs
+    keep their whole lists, as envelope-free [(set, objective)] pairs
+    ({!cardinality_summary}), until sink selection.
 
     The final per-cardinality answers are read from the irredundant
     lists of the primary outputs ("the sink node"), selecting, for each

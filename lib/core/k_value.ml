@@ -32,13 +32,9 @@ let knee_of_curve pts =
     fst best
 
 let build ~total ~fraction_of curve =
-  let pts =
-    List.map
-      (fun (k, _, d) ->
-        { kv_k = k; kv_delay = d; kv_fraction = fraction_of total d })
-      curve
-  in
-  pts
+  List.map
+    (fun (k, _, d) -> { kv_k = k; kv_delay = d; kv_fraction = fraction_of total d })
+    curve
 
 let recommend ~coverage pts =
   let coverage_k =
@@ -47,7 +43,8 @@ let recommend ~coverage pts =
   in
   let knee_k =
     match pts with
-    | [] | [ _ ] -> ( match pts with [ p ] -> p.kv_k | _ -> 1)
+    | [] -> 1
+    | [ p ] -> p.kv_k
     | _ -> knee_of_curve (List.map (fun p -> (p.kv_k, p.kv_fraction)) pts)
   in
   { kv_coverage_k = coverage_k; kv_knee_k = knee_k; kv_curve = pts }
@@ -63,10 +60,8 @@ let addition ?(coverage = 0.8) ?(kmax = 30) topo =
 
 let elimination ?(coverage = 0.8) ?(kmax = 30) topo =
   let t = Elimination.compute ~k:kmax topo in
-  let base = Elimination.noiseless_delay t in
   let noisy = Elimination.all_aggressor_delay t in
-  let total = Float.max 1e-12 (noisy -. base) in
-  ignore base;
+  let total = Float.max 1e-12 (noisy -. Elimination.noiseless_delay t) in
   let curve = Elimination.evaluate_curve t ~ks:(sample_ks ~kmax) in
   recommend ~coverage
     (build ~total ~fraction_of:(fun total d -> (noisy -. d) /. total) curve)

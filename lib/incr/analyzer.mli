@@ -31,45 +31,29 @@ type run_stats = {
   rs_misses : int;  (** victims enumerated (then stored) *)
 }
 
-val create :
-  ?capacity:int ->
-  ?use_pseudo:bool ->
-  ?use_higher_order:bool ->
-  ?filter:Tka_filter.Mode.t ->
-  k:int ->
-  unit ->
-  t
-(** Same knobs and defaults as {!Tka_topk.Elimination.compute}; the
-    config is fixed for the session because it is hashed into every
-    cache key (the filter mode included — results computed under
-    different filter modes never alias). *)
+val create : ?cache:Cache.t -> ?filter:Tka_filter.Mode.t -> k:int -> unit -> t
+(** A session at {!Tka_topk.Engine.default_config} with the given [k]
+    and [filter] (default [Off]); the config is fixed for the session
+    because it is hashed into every cache key (the filter mode
+    included — results computed under different filter modes never
+    alias).
 
-val with_shared_cache :
-  ?capacity:int ->
-  ?use_pseudo:bool ->
-  ?use_higher_order:bool ->
-  ?filter:Tka_filter.Mode.t ->
-  k:int ->
-  cache:Cache.t ->
-  unit ->
-  t
-(** Like {!create} but analyzing through an {e injected} cache instead
-    of a freshly owned one — the daemon path ([Tka_serve]): one victim
-    cache per design fingerprint, shared by every session analyzing
-    that design, so a second tenant hits warm on the first victim.
-    The injected cache may be consulted and populated concurrently by
-    any number of sessions (it is mutex-guarded, and the engine's
-    determinism contract makes racing stores write identical values).
+    Without [cache] the session owns a fresh one. With it, the session
+    analyzes through the {e injected} cache — the daemon path
+    ([Tka_serve]): one victim cache per design fingerprint, shared by
+    every session analyzing that design, so a second tenant hits warm
+    on the first victim. The injected cache may be consulted and
+    populated concurrently by any number of sessions (it is
+    mutex-guarded, and the engine's determinism contract makes racing
+    stores write identical values).
 
     Two caveats for sharers: {!apply} remaps the injected cache {e in
     place}, which would corrupt it for co-tenants still analyzing the
     unedited design — a daemon session applying edits must instead
     seed a fresh per-fingerprint cache with {!Cache.remapped_copy} and
-    open a new [with_shared_cache] session on it. {!load_checkpoint}
-    likewise {e replaces} the session's cache reference, detaching it
-    from the shared one. *)
+    open a new session on it. {!load_checkpoint} likewise {e replaces}
+    the session's cache reference, detaching it from the shared one. *)
 
-val config : t -> Tka_topk.Engine.config
 val cache : t -> Cache.t
 
 val run :

@@ -386,15 +386,9 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
      edited design re-analyzed through it. Rejecting the candidate is
      then a no-op — the pre-edit analyzer was never touched, which is
      what makes rollback bit-exact. *)
-  let cfg = Analyzer.config !az in
   let trial edits =
     let cache = Cache.remapped_copy (Analyzer.cache !az) Option.some in
-    let az' =
-      Analyzer.with_shared_cache ~capacity:cfg.Engine.capacity
-        ~use_pseudo:cfg.Engine.use_pseudo
-        ~use_higher_order:cfg.Engine.use_higher_order
-        ~filter:cfg.Engine.filter ~k:cfg.Engine.k ~cache ()
-    in
+    let az' = Analyzer.create ~cache ~filter ~k () in
     let nl', dirty = Analyzer.apply az' !nl_cur edits in
     let topo' = Topo.create nl' in
     let fx' = Iterate.run topo' in
@@ -488,14 +482,9 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
   let identical =
     if not verify then true
     else
-      let scratch =
-        Elimination.compute ~capacity:cfg.Engine.capacity
-          ~use_pseudo:cfg.Engine.use_pseudo
-          ~use_higher_order:cfg.Engine.use_higher_order
-          ~filter:cfg.Engine.filter ~k:cfg.Engine.k
-          (Topo.create !nl_cur)
-      in
-      Eco.elim_identical scratch !elim_cur
+      Eco.elim_identical
+        (Elimination.compute ~filter ~k (Topo.create !nl_cur))
+        !elim_cur
   in
   let report =
     {

@@ -31,7 +31,7 @@ type design = {
 }
 
 let make_design ~name ~nl ~fp ~cache ~k =
-  let analyzer = Analyzer.with_shared_cache ~k ~cache () in
+  let analyzer = Analyzer.create ~cache ~k () in
   let analyzers = Hashtbl.create 4 in
   Hashtbl.add analyzers Tka_filter.Mode.Off analyzer;
   {
@@ -49,9 +49,7 @@ let analyzer_for d filter =
   match Hashtbl.find_opt d.d_analyzers filter with
   | Some a -> a
   | None ->
-    let a =
-      Analyzer.with_shared_cache ~k:d.d_k ~filter ~cache:d.d_cache ()
-    in
+    let a = Analyzer.create ~cache:d.d_cache ~filter ~k:d.d_k () in
     Hashtbl.add d.d_analyzers filter a;
     a
 
