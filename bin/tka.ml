@@ -245,26 +245,14 @@ let load ~liberty path =
 
 let handle_errors f =
   try f () with
-  | Nf.Parse_error { line; message } ->
-    Printf.eprintf "netlist parse error, line %d: %s\n" line message;
-    exit 1
-  | Liberty.Parse_error { line; message } ->
-    Printf.eprintf "liberty parse error, line %d: %s\n" line message;
-    exit 1
-  | Spef.Parse_error { line; message } ->
-    Printf.eprintf "spef parse error, line %d: %s\n" line message;
-    exit 1
-  | Tka_circuit.Sdf_lite.Parse_error { line; message } ->
-    Printf.eprintf "sdf parse error, line %d: %s\n" line message;
+  | Tka_util.Lex.Parse_error { source; line; message } ->
+    Printf.eprintf "%s parse error, line %d: %s\n" source line message;
     exit 1
   | N.Link_error { source; message } ->
     Printf.eprintf "%s link error: %s\n" source message;
     exit 1
   | Tka_circuit.Builder.Invalid m ->
     Printf.eprintf "invalid netlist: %s\n" m;
-    exit 1
-  | V.Parse_error { line; message } ->
-    Printf.eprintf "verilog parse error, line %d: %s\n" line message;
     exit 1
   | Tka_obs.Jsonx.Parse_error m ->
     Printf.eprintf "json parse error: %s\n" m;

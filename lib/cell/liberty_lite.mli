@@ -25,7 +25,8 @@
 
 type t = { library_name : string; cells : Cell.t list }
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error of { source : string; line : int; message : string }
+(** {!Tka_util.Lex.Parse_error}, with [source = "liberty"]. *)
 
 val parse : string -> t
 (** Parse a library from a string.

@@ -1,15 +1,9 @@
 module N = Netlist
+module Lex = Tka_util.Lex
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error = Lex.Parse_error
 
-let fail line fmt =
-  Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
-
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun w -> w <> "")
+let fail line fmt = Lex.fail ~source:"netlist" line fmt
 
 let strip_comment s =
   match String.index_opt s '#' with
@@ -23,11 +17,7 @@ let parse_binding line w =
     (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
   | None -> fail line "expected key=value, got %S" w
 
-let parse_float line key v =
-  match float_of_string_opt v with
-  | Some f when Float.is_finite f -> f
-  | Some _ -> fail line "%s: non-finite number %S" key v
-  | None -> fail line "%s: malformed number %S" key v
+let parse_float = Lex.parse_float ~source:"netlist"
 
 (* optional cap=/res= bindings for net declarations *)
 let parse_parasitics line words =
@@ -50,7 +40,7 @@ let parse ~lookup src =
   in
   let wrap line f = try f () with Builder.Invalid m -> fail line "%s" m in
   let handle line_no line =
-    match split_words (strip_comment line) with
+    match Lex.split_words (strip_comment line) with
     | [] -> ()
     | "circuit" :: rest -> (
       match rest with
@@ -117,11 +107,7 @@ let parse ~lookup src =
   try Builder.finalize !b with Builder.Invalid m -> fail 0 "%s" m
 
 let parse_file ~lookup path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse ~lookup src
+  parse ~lookup (In_channel.with_open_bin path In_channel.input_all)
 
 let print nl =
   let buf = Buffer.create 4096 in

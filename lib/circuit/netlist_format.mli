@@ -23,7 +23,8 @@
     [Tka_cell.Default_lib.find]). {!print} emits this format and
     {!parse} reads it back (round-trip). *)
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error of { source : string; line : int; message : string }
+(** {!Tka_util.Lex.Parse_error}, with [source = "netlist"]. *)
 
 val parse :
   lookup:(string -> Tka_cell.Cell.t option) -> string -> Netlist.t

@@ -1,6 +1,8 @@
 module N = Netlist
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error = Tka_util.Lex.Parse_error
+
+let fail line fmt = Tka_util.Lex.fail ~source:"sdf" line fmt
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                             *)
@@ -52,7 +54,6 @@ let tokenize src =
   let out = ref [] in
   let n = String.length src in
   let i = ref 0 in
-  let err message = raise (Parse_error { line = !line; message }) in
   while !i < n do
     (match src.[!i] with
     | '\n' ->
@@ -72,7 +73,7 @@ let tokenize src =
         if src.[!j] = '\n' then incr line;
         incr j
       done;
-      if !j >= n then err "unterminated string";
+      if !j >= n then fail !line "unterminated string";
       out := (Str (String.sub src start (!j - start)), !line) :: !out;
       i := !j + 1
     | _ ->
@@ -97,20 +98,19 @@ let last_line tokens =
   List.fold_left (fun _ (_, line) -> line) 1 tokens
 
 let parse_sexps tokens =
-  let err line message = raise (Parse_error { line; message }) in
   let eof_line = last_line tokens in
   let rec one = function
-    | [] -> err eof_line "unexpected end of input"
+    | [] -> fail eof_line "unexpected end of input"
     | (Lp, line) :: rest ->
       let items, rest = list_items line rest in
       (L (line, items), rest)
-    | (Rp, line) :: _ -> err line "unexpected ')'"
+    | (Rp, line) :: _ -> fail line "unexpected ')'"
     | (Atom a, line) :: rest -> (A (line, a), rest)
     | (Str s, line) :: rest -> (S (line, s), rest)
   and list_items open_line tokens =
     match tokens with
     | (Rp, _) :: rest -> ([], rest)
-    | [] -> err eof_line (Printf.sprintf "missing ')' for '(' on line %d" open_line)
+    | [] -> fail eof_line "missing ')' for '(' on line %d" open_line
     | _ :: _ ->
       let x, rest = one tokens in
       let xs, rest = list_items open_line rest in
@@ -126,7 +126,6 @@ let parse_sexps tokens =
   all tokens
 
 let parse src =
-  let err line message = raise (Parse_error { line; message }) in
   match parse_sexps (tokenize src) with
   | [ L (_, A (_, "DELAYFILE") :: items) ] ->
     let design = ref None in
@@ -143,11 +142,11 @@ let parse src =
                     match float_of_string_opt v with
                     | Some d when Float.is_finite d ->
                       arcs := (instance, from_pin, to_pin, d) :: !arcs
-                    | Some _ -> err line (Printf.sprintf "non-finite delay %S" v)
-                    | None -> err line (Printf.sprintf "bad delay %S" v))
-                  | node -> err (sexp_line node) "malformed IOPATH")
+                    | Some _ -> fail line "non-finite delay %S" v
+                    | None -> fail line "bad delay %S" v)
+                  | node -> fail (sexp_line node) "malformed IOPATH")
                 paths
-            | node -> err (sexp_line node) "expected ABSOLUTE")
+            | node -> fail (sexp_line node) "expected ABSOLUTE")
           dels;
         walk_cell instance rest
       | _ :: rest -> walk_cell instance rest
@@ -167,12 +166,12 @@ let parse src =
           in
           (match instance with
           | Some i -> walk_cell i cell_items
-          | None -> err line "CELL without INSTANCE")
-        | node -> err (sexp_line node) "unexpected item in DELAYFILE")
+          | None -> fail line "CELL without INSTANCE")
+        | node -> fail (sexp_line node) "unexpected item in DELAYFILE")
       items;
     { sdf_design = !design; sdf_arcs = List.rev !arcs }
-  | node :: _ -> err (sexp_line node) "expected a single (DELAYFILE ...)"
-  | [] -> err 1 "expected a single (DELAYFILE ...)"
+  | node :: _ -> fail (sexp_line node) "expected a single (DELAYFILE ...)"
+  | [] -> fail 1 "expected a single (DELAYFILE ...)"
 
 let check_against ann ~delay_of nl =
   List.filter_map

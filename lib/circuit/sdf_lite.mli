@@ -20,7 +20,8 @@
       ...)
     v} *)
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error of { source : string; line : int; message : string }
+(** {!Tka_util.Lex.Parse_error}, with [source = "sdf"]. *)
 
 val print : delay_of:(Netlist.gate -> float) -> Netlist.t -> string
 (** [print ~delay_of nl] renders one CELL per gate with equal IOPATH

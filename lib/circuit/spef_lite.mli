@@ -30,7 +30,8 @@
     [*D_NET] blocks (the same physical capacitor may be listed in both,
     as real extractors do). *)
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error of { source : string; line : int; message : string }
+(** {!Tka_util.Lex.Parse_error}, with [source = "spef"]. *)
 
 type annotation = {
   design : string option;

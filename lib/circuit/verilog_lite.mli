@@ -27,7 +27,8 @@
     as a standard flow would. {!print} emits this format; round-trips
     through {!parse} up to the default parasitics. *)
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error of { source : string; line : int; message : string }
+(** {!Tka_util.Lex.Parse_error}, with [source = "verilog"]. *)
 
 val parse :
   lookup:(string -> Tka_cell.Cell.t option) -> string -> Netlist.t

@@ -1,10 +1,10 @@
 (** Mutation fuzzer for the text-format parsers.
 
     The parsers' error contract: on any input, either parse
-    successfully or raise the format's structured [Parse_error] with a
-    line number inside the input — never [Invalid_argument],
-    [Failure], [Not_found], a stack overflow, or an unstructured
-    builder error. The fuzzer starts from a valid document (rendered
+    successfully or raise the structured [Parse_error] naming the
+    format as its [source], with a line number inside the input —
+    never [Invalid_argument], [Failure], [Not_found], a stack
+    overflow, or an unstructured builder error. The fuzzer starts from a valid document (rendered
     from a random circuit, so the corpus follows the generator's seed)
     and applies byte- and line-level mutations; {!check} classifies
     the parser's reaction. *)
@@ -30,6 +30,7 @@ val mutate : Tka_util.Rng.t -> string -> string
 
 val check : format -> string -> string option
 (** Run the format's parser on the input. [None] when the contract
-    holds (clean parse, or a structured [Parse_error] whose line lies
-    in [0, lines+1]); [Some detail] when the parser escaped the
+    holds (clean parse, or a structured {!Tka_util.Lex.Parse_error}
+    whose [source] is {!name} of the format and whose line lies in
+    [0, lines+1]); [Some detail] when the parser escaped the
     contract. *)

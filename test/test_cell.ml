@@ -247,16 +247,19 @@ let test_liberty_error_line () =
   with Liberty.Parse_error { line; _ } ->
     Alcotest.(check bool) "line recorded" true (line >= 2)
 
-(* Table-driven error paths: (case, source, expected line, message
-   substring). Lexical errors carry the exact offending line; semantic
-   errors (missing attribute, pin checks) are exercised on one-line
-   sources so the reported line is unambiguous. *)
+(* Table-driven error paths: (case, input text, expected error source,
+   expected line, message substring). Lexical errors carry the exact
+   offending line; semantic errors (missing attribute, pin checks) are
+   exercised on one-line sources so the reported line is unambiguous. *)
 let test_liberty_error_table () =
   List.iter
-    (fun (case, src, want_line, want_sub) ->
+    (fun (case, src, want_source, want_line, want_sub) ->
       match Liberty.parse src with
       | _ -> Alcotest.fail (Printf.sprintf "%s: expected Parse_error" case)
-      | exception Liberty.Parse_error { line; message } ->
+      | exception Liberty.Parse_error { source; line; message } ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: source" case)
+          want_source source;
         Alcotest.(check int) (Printf.sprintf "%s: line" case) want_line line;
         let contains_sub s sub =
           let n = String.length s and m = String.length sub in
@@ -268,32 +271,42 @@ let test_liberty_error_table () =
             (Printf.sprintf "%s: message %S does not mention %S" case message
                want_sub))
     [
-      ("not a library", "cell(X) {}", 1, "expected 'library'");
+      ("not a library", "cell(X) {}", "liberty", 1, "expected 'library'");
       ( "malformed number",
         "library(x) {\ncell(A) {\nintrinsic_delay : 1.2.3;\n}\n}",
+        "liberty",
         3,
         "malformed number" );
       ( "non-finite number",
         "library(x) {\ncell(A) {\nintrinsic_delay : 1e999;\n}\n}",
+        "liberty",
         3,
         "non-finite number" );
-      ("unterminated block comment", "library(x) {\n/* foo", 2, "unterminated");
+      ( "unterminated block comment",
+        "library(x) {\n/* foo",
+        "liberty",
+        2,
+        "unterminated" );
       ( "unterminated string",
         "library(x) {\ncell(A) {\nfunction : \"!A",
+        "liberty",
         3,
         "unterminated string" );
       ( "missing attribute",
         "library(x) { cell(A) { pin(Y) { direction : output; } } }",
+        "liberty",
         1,
         "missing attribute" );
       ( "no output pin",
         "library(x) { cell(A) { intrinsic_delay : 1; drive_resistance : 1; \
          intrinsic_slew : 1; slew_resistance : 1; } }",
+        "liberty",
         1,
         "no output pin" );
-      ("truncated file", "library(x) { cell(A) ", 1, "expected '{'");
+      ("truncated file", "library(x) { cell(A) ", "liberty", 1, "expected '{'");
       ( "trailing content",
         "library(x) { } garbage",
+        "liberty",
         1,
         "trailing content" );
     ]

@@ -646,14 +646,18 @@ let test_verilog_errors () =
 
 module Sdf = Tka_circuit.Sdf_lite
 
-(* Each table row is (case, source, expected line, message substring). *)
+(* Each table row is (case, input text, expected error source, expected
+   line, message substring). *)
 let check_error_table what err table =
   List.iter
-    (fun (case, src, want_line, want_sub) ->
+    (fun (case, src, want_source, want_line, want_sub) ->
       match err src with
       | None ->
         Alcotest.fail (Printf.sprintf "%s/%s: expected Parse_error" what case)
-      | Some (line, message) ->
+      | Some (source, line, message) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s/%s: source" what case)
+          want_source source;
         Alcotest.(check int)
           (Printf.sprintf "%s/%s: line" what case)
           want_line line;
@@ -666,41 +670,60 @@ let check_error_table what err table =
 let nf_err src =
   match Nf.parse ~lookup:Lib.find src with
   | _ -> None
-  | exception Nf.Parse_error { line; message } -> Some (line, message)
+  | exception Nf.Parse_error { source; line; message } ->
+    Some (source, line, message)
 
 let spef_err src =
   match Spef.parse src with
   | _ -> None
-  | exception Spef.Parse_error { line; message } -> Some (line, message)
+  | exception Spef.Parse_error { source; line; message } ->
+    Some (source, line, message)
 
 let sdf_err src =
   match Sdf.parse src with
   | _ -> None
-  | exception Sdf.Parse_error { line; message } -> Some (line, message)
+  | exception Sdf.Parse_error { source; line; message } ->
+    Some (source, line, message)
 
 let v_err src =
   match V.parse ~lookup:Lib.find src with
   | _ -> None
-  | exception V.Parse_error { line; message } -> Some (line, message)
+  | exception V.Parse_error { source; line; message } ->
+    Some (source, line, message)
 
 let test_error_table_netlist () =
   check_error_table "nf" nf_err
     [
-      ("duplicate input", "circuit t\ninput a\ninput a\n", 3, "duplicate net");
+      ( "duplicate input",
+        "circuit t\ninput a\ninput a\n",
+        "netlist",
+        3,
+        "duplicate net" );
       ( "unknown cell",
         "circuit t\ninput a\nnet n1\ngate g1 NOPE A=a Y=n1\noutput n1\n",
+        "netlist",
         4,
         "unknown cell" );
-      ("malformed number", "circuit t\ninput a cap=abc\n", 2, "malformed number");
-      ("nan rejected", "circuit t\ninput a cap=nan\n", 2, "non-finite");
-      ("inf rejected", "circuit t\ninput a cap=inf\n", 2, "non-finite");
-      ("overflow rejected", "circuit t\ninput a cap=1e999\n", 2, "non-finite");
+      ( "malformed number",
+        "circuit t\ninput a cap=abc\n",
+        "netlist",
+        2,
+        "malformed number" );
+      ("nan rejected", "circuit t\ninput a cap=nan\n", "netlist", 2, "non-finite");
+      ("inf rejected", "circuit t\ninput a cap=inf\n", "netlist", 2, "non-finite");
+      ( "overflow rejected",
+        "circuit t\ninput a cap=1e999\n",
+        "netlist",
+        2,
+        "non-finite" );
       ( "missing output binding",
         "circuit t\ninput a\nnet n1\ngate g1 INV_X1 A=a\n",
+        "netlist",
         4,
         "missing output binding" );
       ( "truncated file: undriven net is a whole-file (line 0) error",
         "circuit t\ninput a\nnet n1\noutput n1\n",
+        "netlist",
         0,
         "no driver" );
     ]
@@ -708,24 +731,28 @@ let test_error_table_netlist () =
 let test_error_table_spef () =
   check_error_table "spef" spef_err
     [
-      ("*CAP outside *D_NET", "*CAP\n", 1, "*CAP outside");
-      ("*END without *D_NET", "*END\n", 1, "*END without");
+      ("*CAP outside *D_NET", "*CAP\n", "spef", 1, "*CAP outside");
+      ("*END without *D_NET", "*END\n", "spef", 1, "*END without");
       ( "duplicate *D_NET before *END",
         "*D_NET a 1\n*D_NET b 1\n",
+        "spef",
         2,
         "without closing" );
       ( "foreign ground net",
         "*D_NET a 1\n*CAP\n1 b 0.1\n*END\n",
+        "spef",
         3,
         "foreign net" );
-      ("malformed number", "*D_NET a x\n", 1, "malformed number");
-      ("non-finite total", "*D_NET a inf\n", 1, "non-finite");
+      ("malformed number", "*D_NET a x\n", "spef", 1, "malformed number");
+      ("non-finite total", "*D_NET a inf\n", "spef", 1, "non-finite");
       ( "non-finite ground cap",
         "*D_NET a 1\n*CAP\n1 a 1e999\n*END\n",
+        "spef",
         3,
         "non-finite" );
       ( "truncated file: unterminated *D_NET reports its opening line",
         "*SPEF lite\n*D_NET a 0.1\n*CAP\n1 a 0.05\n",
+        "spef",
         2,
         "unterminated *D_NET" );
     ]
@@ -733,38 +760,49 @@ let test_error_table_spef () =
 let test_error_table_sdf () =
   check_error_table "sdf" sdf_err
     [
-      ("empty input", "", 1, "expected a single");
-      ("unexpected rparen", ")", 1, "unexpected ')'");
+      ("empty input", "", "sdf", 1, "expected a single");
+      ("unexpected rparen", ")", "sdf", 1, "unexpected ')'");
       ( "truncated file names the unclosed paren",
         "(DELAYFILE\n  (CELL (INSTANCE g1)\n",
+        "sdf",
         2,
         "missing ')' for '(' on line 2" );
-      ("unterminated string", "(DELAYFILE (DESIGN \"x", 1, "unterminated string");
+      ( "unterminated string",
+        "(DELAYFILE (DESIGN \"x",
+        "sdf",
+        1,
+        "unterminated string" );
       ( "bad delay on its own line",
         "(DELAYFILE\n(CELL (CELLTYPE \"c\") (INSTANCE g1)\n(DELAY (ABSOLUTE\n\
          (IOPATH A Y (oops))))))\n",
+        "sdf",
         4,
         "bad delay" );
       ( "non-finite delay",
         "(DELAYFILE\n(CELL (CELLTYPE \"c\") (INSTANCE g1)\n(DELAY (ABSOLUTE\n\
          (IOPATH A Y (1e999))))))\n",
+        "sdf",
         4,
         "non-finite delay" );
       ( "malformed IOPATH",
         "(DELAYFILE\n(CELL (INSTANCE g1)\n(DELAY (ABSOLUTE\n\
          (IOPATH A Y)))))\n",
+        "sdf",
         4,
         "malformed IOPATH" );
       ( "expected ABSOLUTE",
         "(DELAYFILE\n(CELL (INSTANCE g1)\n(DELAY (RELATIVE))))\n",
+        "sdf",
         3,
         "expected ABSOLUTE" );
       ( "CELL without INSTANCE",
         "(DELAYFILE\n(CELL (CELLTYPE \"c\")))\n",
+        "sdf",
         2,
         "CELL without INSTANCE" );
       ( "newline inside quoted string still counted",
         "(DELAYFILE\n(DESIGN \"a\nb\")\nBAD)\n",
+        "sdf",
         4,
         "unexpected item" );
     ]
@@ -774,24 +812,33 @@ let test_error_table_verilog () =
     [
       ( "vector",
         "module m (a);\ninput a[3:0];\nendmodule\n",
+        "verilog",
         2,
         "vectors are not supported" );
       ( "behavioural",
         "module m (a);\ninput a;\nassign b = a;\nendmodule\n",
+        "verilog",
         3,
         "behavioural" );
       ( "module defined twice",
         "module m (a); input a; endmodule\nmodule m (a); input a; endmodule\n",
+        "verilog",
         2,
         "defined twice" );
       ( "duplicate declaration reported at the module line",
         "module m (a);\ninput a;\ninput a;\nendmodule\n",
+        "verilog",
         1,
         "declared twice" );
-      ("truncated file", "module m (a);\ninput a;", 2, "missing endmodule");
+      ( "truncated file",
+        "module m (a);\ninput a;",
+        "verilog",
+        2,
+        "missing endmodule" );
       ( "unknown cell",
         "module m (a, y);\ninput a;\noutput y;\nNOPE_X9 g (.A(a), .Y(y));\n\
          endmodule\n",
+        "verilog",
         1,
         "unknown cell" );
     ]
