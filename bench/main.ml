@@ -948,198 +948,6 @@ let run_serve o =
 (* Kernels (bechamel)                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Pwl = Tka_waveform.Pwl
-
-(* Reference implementations of the PWL kernels in the pre-rewrite
-   list-and-binary-search style: allocate the merged abscissa grid,
-   [Pwl.eval] (O(log n) segment lookup) both operands at every grid
-   point, left-fold the n-ary variants pairwise. These are the
-   baseline the kernels section times the linear-merge rewrites
-   against; they intentionally mirror the old code, not an optimal
-   implementation. *)
-module Ref_kernels = struct
-  let x_eps = 1e-12
-
-  let merged_grid a b =
-    let xs =
-      List.map fst (Pwl.breakpoints a) @ List.map fst (Pwl.breakpoints b)
-      |> List.sort_uniq Float.compare
-    in
-    let rec dedupe last = function
-      | [] -> []
-      | x :: tl ->
-        if x -. last <= x_eps then dedupe last tl else x :: dedupe x tl
-    in
-    match xs with [] -> [] | x :: tl -> x :: dedupe x tl
-
-  let combine2 f a b =
-    Pwl.create
-      (List.map (fun x -> (x, f (Pwl.eval a x) (Pwl.eval b x))) (merged_grid a b))
-
-  let add a b = combine2 ( +. ) a b
-
-  let sum = function
-    | [] -> Pwl.zero
-    | w :: ws -> List.fold_left add w ws
-
-  let max2 a b =
-    let grid = Array.of_list (merged_grid a b) in
-    let n = Array.length grid in
-    let pts = ref [] in
-    let push x y = pts := (x, y) :: !pts in
-    let value x = Float.max (Pwl.eval a x) (Pwl.eval b x) in
-    for i = 0 to n - 1 do
-      let x = grid.(i) in
-      push x (value x);
-      if i < n - 1 then begin
-        let x' = grid.(i + 1) in
-        let d0 = Pwl.eval a x -. Pwl.eval b x
-        and d1 = Pwl.eval a x' -. Pwl.eval b x' in
-        if (d0 > 0. && d1 < 0.) || (d0 < 0. && d1 > 0.) then begin
-          let xc = x +. ((x' -. x) *. d0 /. (d0 -. d1)) in
-          if xc > x +. x_eps && xc < x' -. x_eps then push xc (value xc)
-        end
-      end
-    done;
-    Pwl.create (List.rev !pts)
-
-  let max_list = function
-    | [] -> invalid_arg "max_list"
-    | w :: ws -> List.fold_left max2 w ws
-
-  let dominates ?(eps = 1e-9) a b =
-    List.for_all
-      (fun x -> Pwl.eval a x >= Pwl.eval b x -. eps)
-      (merged_grid a b)
-
-  let peak w =
-    List.fold_left
-      (fun acc (_, y) -> Float.max acc y)
-      Float.neg_infinity (Pwl.breakpoints w)
-end
-
-(* Old-vs-new microbenchmarks of the rewritten kernels on synthetic
-   noise envelopes sized like the engine's working set. Timings and
-   speedups land in the "kernels" section of BENCH_topk.json; CI
-   asserts speedup >= 1.0 for each kernel. *)
-let run_kernel_rewrite o =
-  section "PWL kernel rewrite: reference (list + binary search) vs linear merge";
-  let envelopes =
-    List.init 24 (fun i ->
-        let fi = float_of_int i in
-        let pulse =
-          Tka_waveform.Pulse.make ~onset:0.
-            ~peak:(0.08 +. (0.015 *. float_of_int (i mod 9)))
-            ~rise:(0.02 +. (0.002 *. float_of_int (i mod 5)))
-            ~decay:(0.05 +. (0.004 *. float_of_int (i mod 7)))
-        in
-        let lo = 0.3 +. (0.04 *. fi) in
-        let window = Tka_util.Interval.make lo (lo +. 0.15 +. (0.02 *. fi)) in
-        Tka_waveform.Envelope.waveform
-          (Tka_waveform.Envelope.of_pulse ~window pulse))
-  in
-  let earr = Array.of_list envelopes in
-  let ne = Array.length earr in
-  (* groups of 8 operands, the shape of Envelope.combine at a victim *)
-  let groups =
-    List.init (ne - 8) (fun i -> List.init 8 (fun j -> earr.(i + j)))
-  in
-  let iters = if o.quick then 30 else 100 in
-  (* best of three timed blocks, each preceded by a major collection:
-     the blocks are short, so one stray major slice would otherwise
-     dominate a measurement *)
-  let time reps f =
-    f ();
-    let best = ref Float.infinity in
-    for _ = 1 to 3 do
-      Gc.major ();
-      let t0 = wall () in
-      for _ = 1 to reps do
-        f ()
-      done;
-      let dt = wall () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let sink = ref 0. in
-  let keep w = sink := !sink +. Pwl.last_x w in
-  let keepb b = if b then sink := !sink +. 1. in
-  let kernels =
-    [
-      ( "dominates",
-        (fun () ->
-          for i = 0 to ne - 1 do
-            for j = 0 to ne - 1 do
-              keepb (Ref_kernels.dominates earr.(i) earr.(j))
-            done
-          done),
-        fun () ->
-          for i = 0 to ne - 1 do
-            for j = 0 to ne - 1 do
-              keepb (Pwl.dominates earr.(i) earr.(j))
-            done
-          done );
-      ( "add",
-        (fun () ->
-          for i = 0 to ne - 2 do
-            keep (Ref_kernels.add earr.(i) earr.(i + 1))
-          done),
-        fun () ->
-          for i = 0 to ne - 2 do
-            keep (Pwl.add earr.(i) earr.(i + 1))
-          done );
-      ( "sum8",
-        (fun () -> List.iter (fun g -> keep (Ref_kernels.sum g)) groups),
-        fun () -> List.iter (fun g -> keep (Pwl.sum g)) groups );
-      ( "max_list8",
-        (fun () -> List.iter (fun g -> keep (Ref_kernels.max_list g)) groups),
-        fun () -> List.iter (fun g -> keep (Pwl.max_list g)) groups );
-      ( "peak",
-        (fun () ->
-          for _ = 1 to 50 do
-            Array.iter (fun w -> sink := !sink +. Ref_kernels.peak w) earr
-          done),
-        fun () ->
-          for _ = 1 to 50 do
-            Array.iter (fun w -> sink := !sink +. Pwl.max_value w) earr
-          done );
-    ]
-  in
-  let t =
-    Tt.create
-      ~headers:
-        [
-          ("kernel", Tt.Left); ("reference (ms)", Tt.Right);
-          ("linear merge (ms)", Tt.Right); ("speedup", Tt.Right);
-        ]
-  in
-  let jfields =
-    List.map
-      (fun (name, old_f, new_f) ->
-        let t_old = time iters old_f in
-        let t_new = time iters new_f in
-        let speedup = t_old /. Float.max t_new 1e-12 in
-        Tt.add_row t
-          [
-            name;
-            Tt.cell_f ~decimals:2 (1e3 *. t_old);
-            Tt.cell_f ~decimals:2 (1e3 *. t_new);
-            Tt.cell_f ~decimals:1 speedup;
-          ];
-        ( name,
-          J.Obj
-            [
-              ("t_old_s", J.Float t_old);
-              ("t_new_s", J.Float t_new);
-              ("speedup", J.Float speedup);
-            ] ))
-      kernels
-  in
-  ignore !sink;
-  json_add "kernels" (J.Obj jfields);
-  print_string (Tt.render t)
-
 let run_kernels () =
   section "Computational kernels (bechamel, monotonic clock)";
   let open Bechamel in
@@ -1324,9 +1132,7 @@ let () =
           | "repair" -> run_repair o
           | "rerank" -> run_rerank o
           | "serve" -> run_serve o
-          | "kernels" ->
-            run_kernel_rewrite o;
-            run_kernels ()
+          | "kernels" -> run_kernels ()
           | "table2x" -> run_table2x o
           | s -> failwith (Printf.sprintf "unknown section %S" s)))
     o.sections;

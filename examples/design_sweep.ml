@@ -12,8 +12,6 @@ module Addition = Tka_topk.Addition
 module Elimination = Tka_topk.Elimination
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "i1" in
   let kmax = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 25 in
   let nl =

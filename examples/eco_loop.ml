@@ -97,8 +97,6 @@ let removal_edits set =
   |> List.map (fun c -> Edit.Remove_coupling c)
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let bits = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 8 in
   let nl = build bits in
   Printf.printf "%d-bit ripple adder: %d gates, %d nets, %d couplings\n\n" bits

@@ -24,8 +24,6 @@ let apply_fix nl fixed_couplings =
   Tka_circuit.Transform.remove_couplings nl fixed_couplings
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let nl = Option.get (B.by_name "i3") in
   let topo = Topo.create nl in
   let before = Iterate.run topo in

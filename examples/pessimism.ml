@@ -13,8 +13,6 @@ module Mc = Tka_noise.Monte_carlo
 module B = Tka_layout.Benchmarks
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "i1" in
   let samples = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 300 in
   let nl =

@@ -72,8 +72,6 @@ let ripple_top bits =
   Buffer.contents buf
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let bits = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 4 in
   let verilog = full_adder_module ^ ripple_top bits in
   let flat = V.parse ~lookup:Lib.find verilog in

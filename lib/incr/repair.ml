@@ -168,10 +168,7 @@ let save_journal path r =
         r.rp_journal)
 
 let load_journal ~lookup path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
+  let src = In_channel.with_open_bin path In_channel.input_all in
   let ( let* ) = Result.bind in
   let lines =
     String.split_on_char '\n' src

@@ -179,10 +179,7 @@ let has_regressions r = r.bd_regressions <> []
    history (one record per line) — for history, compare the last
    record. *)
 let load_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
+  let s = In_channel.with_open_text path In_channel.input_all in
   match J.of_string s with
   | v -> v
   | exception J.Parse_error _ ->

@@ -81,11 +81,7 @@ let of_trace_json j =
   | _ -> failwith "not a Chrome trace: missing traceEvents array"
 
 let of_trace_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_trace_json (J.of_string s)
+  of_trace_json (J.of_string (In_channel.with_open_text path In_channel.input_all))
 
 (* ------------------------------------------------------------------ *)
 (* Analytics                                                          *)

@@ -143,10 +143,7 @@ let save path rs =
   close_out oc
 
 let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
+  let src = In_channel.with_open_bin path In_channel.input_all in
   let ( let* ) = Result.bind in
   String.split_on_char '\n' src
   |> List.mapi (fun i l -> (i + 1, String.trim l))
